@@ -3,7 +3,7 @@ stepping, score/noise conversion, and source-model training."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,24 @@ def time_features(t, T: int) -> np.ndarray:
 
 @dataclass
 class NoiseNet:
-    """Noise-prediction network over (x_t, t); an MLP over [x, time features]."""
+    """Noise-prediction network over (x_t, t); an MLP over [x, time features].
+
+    ``time_table[t]`` is ``time_features(t, T)`` for every t in [0, T],
+    built once and read-only.
+    """
 
     backbone: Mlp
     d: int
     T: int
     frozen: bool = False
+    time_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise InvalidArgumentError(f"T={self.T} must be >= 1")
+        table = time_features(np.arange(self.T + 1), self.T)
+        table.flags.writeable = False
+        self.time_table = table
 
     @classmethod
     def init(cls, d: int, T: int, hidden, stream: RngStream) -> "NoiseNet":
@@ -47,11 +59,21 @@ class NoiseNet:
 
 
 def eps_theta(net: NoiseNet, x: np.ndarray, t) -> np.ndarray:
-    """Predicted noise for state x at timestep t. Batched when x is 2-D."""
+    """Predicted noise for state x at integer timestep(s) t in [0, T].
+    Batched when x is 2-D; t is then one step or one step per row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.d:
         raise ShapeError(f"state width {x.shape[-1]} != {net.d}")
-    feat = time_features(t, net.T)
+    if isinstance(t, (int, np.integer)):
+        in_range = 0 <= t <= net.T
+    else:
+        t = np.asarray(t)
+        if t.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"timestep dtype {t.dtype} is not an integer type")
+        in_range = t.size == 0 or (t.min() >= 0 and t.max() <= net.T)
+    if not in_range:
+        raise InvalidArgumentError(f"timestep outside [0, {net.T}]")
+    feat = net.time_table[t]
     if x.ndim == 2 and feat.ndim == 1:
         feat = np.broadcast_to(feat, (x.shape[0], feat.shape[0]))
     return mlp_forward(net.backbone, np.concatenate([x, feat], axis=-1))
@@ -139,15 +161,16 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
         x0 = dataset[idx]
         eps = gaussian(stream, (config.batch, net.d))
         x_t = sqrt_ab[t, None] * x0 + sqrt_1mab[t, None] * eps
-        inp = np.concatenate([x_t, time_features(t, net.T)], axis=-1)
-        pred = mlp_forward(net.backbone, inp)
+        inp = np.concatenate([x_t, net.time_table[t]], axis=-1)
+        tape = []
+        pred = mlp_forward(net.backbone, inp, tape=tape)
         resid = pred - eps
         loss = float(np.mean(resid * resid))
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at step {step}")
         trace[step] = loss
         upstream = 2.0 * resid / resid.size
-        grads, _ = mlp_backward(net.backbone, inp, upstream)
+        grads, _ = mlp_backward(net.backbone, inp, upstream, tape=tape)
         params, state = adam_step(params, grads, state, config.lr,
                                   config.beta1, config.beta2)
         for i in range(len(net.backbone.weights)):
@@ -183,18 +206,20 @@ def load_checkpoint(path) -> NoiseNet:
             raise FormatError(f"unsupported checkpoint version {version} at byte 4")
         widths = list(struct.unpack_from(f"<{nwidths}I", blob, off))
         off += 4 * nwidths
-        net = NoiseNet(backbone=Mlp.zeros(widths), d=widths[-1], T=T)
-        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        weights, biases = [], []
+        for a, b in zip(widths[:-1], widths[1:]):
             w = np.frombuffer(blob, dtype="<f8", count=a * b, offset=off).reshape(a, b)
             off += 8 * a * b
             bias = np.frombuffer(blob, dtype="<f8", count=b, offset=off)
             off += 8 * b
-            net.backbone.weights[i] = w.copy()
-            net.backbone.biases[i] = bias.copy()
+            weights.append(w.copy())
+            biases.append(bias.copy())
     except struct.error as exc:
         raise FormatError(f"truncated checkpoint at byte {off}") from exc
     except ValueError as exc:
         raise FormatError(f"truncated checkpoint at byte {off}") from exc
     if off != len(blob):
         raise FormatError(f"trailing bytes at offset {off}")
-    return net.freeze()
+    if T < 1 or len(widths) < 2:
+        raise FormatError(f"bad checkpoint header (T={T}, widths={widths}) at byte 8")
+    return NoiseNet(backbone=Mlp(widths, weights, biases), d=widths[-1], T=T).freeze()

@@ -121,28 +121,43 @@ class Mlp:
         return h.hexdigest()
 
 
-def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Forward evaluation; accepts a vector or a (batch, width) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.widths[0]:
-        raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
+def _forward(net: Mlp, x: np.ndarray, tape: list) -> np.ndarray:
+    """Layer loop shared by mlp_forward and mlp_backward; appends one
+    (layer input, pre-activation) pair per layer to ``tape``."""
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if i != last:
-            h = silu(h)
+        z = h @ w + b
+        tape.append((h, z))
+        h = silu(z) if i != last else z
+    return h
+
+
+def mlp_forward(net: Mlp, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """Forward evaluation; accepts a vector or a (batch, width) matrix.
+
+    When ``tape`` is a list, each layer's input and pre-activation are
+    appended to it, so that ``mlp_backward`` can reuse this pass instead of
+    recomputing it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != net.widths[0]:
+        raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
+    h = _forward(net, x, [] if tape is None else tape)
     if not np.all(np.isfinite(h)):
         raise NumericError("mlp_forward produced non-finite values")
     return h
 
 
-def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray):
+def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
+                 tape: list | None = None):
     """Gradients of <upstream, output> w.r.t. parameters and input.
 
     Returns (param_grads, input_grad) where param_grads interleaves
     (dW, db) per layer in declaration order. Batched inputs sum the
-    parameter gradients over the batch.
+    parameter gradients over the batch. ``tape`` is the one filled by
+    ``mlp_forward(net, x, tape)`` on the same weights; without it the
+    forward pass is recomputed.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -150,25 +165,22 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray):
         raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
     if upstream.shape != x.shape[:-1] + (net.widths[-1],):
         raise ShapeError(f"upstream shape {upstream.shape} incompatible with output")
+    if tape is None:
+        tape = []
+        _forward(net, x, tape)
+    elif len(tape) != len(net.weights) or np.shape(tape[0][0]) != x.shape:
+        raise ShapeError(f"tape of {len(tape)} layers does not match a "
+                         f"{len(net.weights)}-layer net on input {x.shape}")
     squeeze = x.ndim == 1
-    xb = np.atleast_2d(x)
-    ub = np.atleast_2d(upstream)
 
     last = len(net.weights) - 1
-    pre, acts = [], [xb]
-    h = xb
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = silu(z) if i != last else z
-        acts.append(h)
-
     param_grads = [None] * (2 * len(net.weights))
-    delta = ub
+    delta = np.atleast_2d(upstream)
     for i in range(last, -1, -1):
+        h, z = tape[i]
         if i != last:
-            delta = delta * silu_grad(pre[i])
-        param_grads[2 * i] = acts[i].T @ delta
+            delta = delta * silu_grad(z)
+        param_grads[2 * i] = np.atleast_2d(h).T @ delta
         param_grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
     input_grad = delta[0] if squeeze else delta

@@ -190,6 +190,8 @@ def load_sge(path) -> SgeSet:
     off += 24
     if version != _SGE_VERSION:
         raise FormatError(f"unsupported SGE version {version} at byte 4")
+    if n < 1:
+        raise FormatError("SGE set holds no samples (N = 0 at byte 8)")
     rmap = RigidityMap(eta=eta, t_lo=t_lo, t_hi=t_hi)
     members = []
     for i in range(n):
@@ -203,6 +205,8 @@ def load_sge(path) -> SgeSet:
         metas = json.loads(blob[off:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad SGE metadata block at byte {off}") from exc
+    if not isinstance(metas, list) or len(metas) != n:
+        raise FormatError(f"SGE metadata block at byte {off} is not a list of {n} entries")
     for m, meta in zip(members, metas):
         m.meta = meta
     out = SgeSet(members, rmap, np.zeros((eta, d)))

@@ -57,6 +57,17 @@ def _parse_value(raw: str, path: str):
         raise ConfigError(f"cannot parse value {raw!r} for key {path}")
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to its first '#' outside a double-quoted string."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat [section] / key = value text, applying schema defaults.
 
@@ -65,7 +76,7 @@ def parse_config_text(text: str) -> dict:
     values = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
     section = None
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _strip_comment(line).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

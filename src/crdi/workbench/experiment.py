@@ -201,7 +201,8 @@ def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
         config={"n": config["metrics"]["n"],
                 "direction": config["metrics"]["direction"],
                 "feature": config["metrics"]["feature"],
-                "cluster_rule": "nearest-target-feature"},
+                "cluster_rule": "max-ssim-target" if is_images
+                else "nearest-target-feature"},
         counts={"generated": int(samples.shape[0]),
                 "targets": int(targets.shape[0]),
                 "eval_targets": int(eval_targets.shape[0])})

@@ -8,7 +8,8 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                             predict_x0, save_checkpoint, score_from_noise,
                             time_features, train_source)
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import RngStream, gaussian
+from crdi.numerics import (AdamState, RngStream, adam_step, gaussian,
+                           mlp_backward, mlp_forward)
 from crdi.sampler import GenerationRequest, generate
 from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
 from crdi.sge import SgeSet
@@ -158,6 +159,52 @@ def test_time_features_shape_and_range():
     assert not np.allclose(f[0], f[2])
 
 
+@pytest.mark.parametrize("T", [50, 60, 400, 1000])
+def test_time_table_equals_time_features(T):
+    net = NoiseNet.init(2, T, [4], RngStream(0, "init"))
+    assert net.time_table.shape == (T + 1, 32)
+    assert not net.time_table.flags.writeable
+    for t in range(T + 1):
+        np.testing.assert_array_equal(net.time_table[t], time_features(t, T))
+    steps = np.arange(T, -1, -1)
+    np.testing.assert_array_equal(net.time_table[steps], time_features(steps, T))
+
+
+def _eps_reference(net, x, t):
+    """eps_theta as computed before the time-feature table, kept test-side."""
+    feat = time_features(t, net.T)
+    if x.ndim == 2 and feat.ndim == 1:
+        feat = np.broadcast_to(feat, (x.shape[0], feat.shape[0]))
+    return mlp_forward(net.backbone, np.concatenate([x, feat], axis=-1))
+
+
+def test_eps_theta_matches_time_features_reference():
+    net = NoiseNet.init(2, 60, [16, 16], RngStream(4, "init"))
+    x = gaussian(RngStream(4, "x"), (2,))
+    xb = gaussian(RngStream(4, "xb"), (7, 2))
+    tb = np.array([0, 1, 17, 30, 59, 60, 5])
+    for t in (0, 1, 33, 60, np.int64(12)):
+        np.testing.assert_array_equal(eps_theta(net, x, t), _eps_reference(net, x, t))
+        np.testing.assert_array_equal(eps_theta(net, xb, t), _eps_reference(net, xb, t))
+    np.testing.assert_array_equal(eps_theta(net, xb, tb), _eps_reference(net, xb, tb))
+
+
+def test_eps_theta_rejects_timesteps_outside_range():
+    net = NoiseNet.init(2, 60, [8], RngStream(5, "init"))
+    x, xb = np.zeros(2), np.zeros((3, 2))
+    for t in (-1, 61, np.int64(-1), np.array(61), np.array([0, 61, 3]),
+              np.array([-1, 0, 3])):
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            eps_theta(net, xb if np.ndim(t) else x, t)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        eps_theta(net, x, 3.0)
+
+
+def test_noise_net_rejects_empty_schedule():
+    with pytest.raises(InvalidArgumentError):
+        NoiseNet.init(2, 0, [8], RngStream(0, "init"))
+
+
 # ---------------------------------------------------------------- training
 
 def test_training_reduces_loss(tiny_ring):
@@ -209,6 +256,46 @@ def test_train_validation():
     with pytest.raises(InvalidArgumentError):
         train_source(net, schedule, np.zeros((4, 2)), TrainConfig(steps=1),
                      RngStream(0))
+
+
+def _two_pass_training(net, schedule, dataset, config, stream):
+    """train_source as it ran before the forward tape and the time-feature
+    table, kept test-side as the reference: time features recomputed per
+    step and a backward pass that recomputes the forward."""
+    n = dataset.shape[0]
+    params = net.backbone.parameters()
+    state = AdamState.for_params(params)
+    trace = np.zeros(config.steps)
+    sqrt_ab = np.sqrt(schedule.alpha_bar)
+    sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bar)
+    for step in range(config.steps):
+        idx = (stream.uniform(config.batch) * n).astype(np.int64).clip(0, n - 1)
+        t = 1 + (stream.uniform(config.batch) * schedule.T).astype(np.int64).clip(0, schedule.T - 1)
+        eps = gaussian(stream, (config.batch, net.d))
+        x_t = sqrt_ab[t, None] * dataset[idx] + sqrt_1mab[t, None] * eps
+        inp = np.concatenate([x_t, time_features(t, net.T)], axis=-1)
+        resid = mlp_forward(net.backbone, inp) - eps
+        trace[step] = float(np.mean(resid * resid))
+        grads, _ = mlp_backward(net.backbone, inp, 2.0 * resid / resid.size)
+        params, state = adam_step(params, grads, state, config.lr,
+                                  config.beta1, config.beta2)
+        net.backbone.weights = params[0::2]
+        net.backbone.biases = params[1::2]
+    return net, trace
+
+
+def test_train_source_matches_two_pass_reference():
+    schedule = linear_schedule(60, 1e-4, 0.02)
+    dataset = gaussian(RngStream(6, "data"), (200, 2))
+    config = TrainConfig(steps=60, batch=32, lr=2e-3)
+    net, trace = train_source(NoiseNet.init(2, 60, [24, 24], RngStream(6, "init")),
+                              schedule, dataset, config, RngStream(6, "train"))
+    ref, ref_trace = _two_pass_training(
+        NoiseNet.init(2, 60, [24, 24], RngStream(6, "init")), schedule, dataset,
+        config, RngStream(6, "train"))
+    assert trace.tobytes() == ref_trace.tobytes()
+    for p, q in zip(net.backbone.parameters(), ref.backbone.parameters()):
+        assert p.tobytes() == q.tobytes()
 
 
 def _ancestral_chain(net, schedule, stream):
@@ -274,6 +361,25 @@ def test_checkpoint_truncated(tmp_path, tiny_ring):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_zero_T_rejected(tmp_path):
+    path = tmp_path / "model.crdn"
+    save_checkpoint(path, NoiseNet.init(2, 10, [4], RngStream(0, "init")))
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="T=0"):
+        load_checkpoint(path)
+
+
+def test_loaded_checkpoint_has_time_table(tmp_path, tiny_ring):
+    _, net, _, _ = tiny_ring
+    path = tmp_path / "model.crdn"
+    save_checkpoint(path, net)
+    loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.time_table, net.time_table)
+    assert not loaded.time_table.flags.writeable
 
 
 def test_checkpoint_trailing_bytes(tmp_path, tiny_ring):

@@ -193,6 +193,36 @@ def test_backward_batch_sums_param_grads():
     assert input_grad.shape == (5, 3)
 
 
+def test_backward_with_tape_equals_recomputed_forward():
+    net = Mlp.init([3, 5, 4, 2], RngStream(9, "net"))
+    x = gaussian(RngStream(9, "x"), (3,))
+    xb = gaussian(RngStream(9, "xb"), (6, 3))
+    for inp, up in ((x, gaussian(RngStream(9, "u"), (2,))),
+                    (xb, gaussian(RngStream(9, "ub"), (6, 2)))):
+        tape = []
+        out = mlp_forward(net, inp, tape=tape)
+        np.testing.assert_array_equal(out, mlp_forward(net, inp))
+        assert len(tape) == 3
+        grads, input_grad = mlp_backward(net, inp, up, tape=tape)
+        ref, ref_in = mlp_backward(net, inp, up)
+        for g, r in zip(grads, ref):
+            assert g.tobytes() == r.tobytes()
+        assert input_grad.tobytes() == ref_in.tobytes()
+
+
+def test_backward_rejects_mismatched_tape():
+    net = Mlp.init([3, 5, 2], RngStream(10, "net"))
+    x = np.ones(3)
+    tape = []
+    mlp_forward(net, x, tape=tape)
+    with pytest.raises(ShapeError, match="tape"):
+        mlp_backward(net, x, np.ones(2), tape=tape[:1])
+    with pytest.raises(ShapeError, match="tape"):
+        mlp_backward(net, x, np.ones(2), tape=tape + tape[:1])
+    with pytest.raises(ShapeError, match="tape"):
+        mlp_backward(net, np.ones((4, 3)), np.ones((4, 2)), tape=tape)
+
+
 def test_backward_shape_errors():
     net = Mlp.zeros([3, 2])
     with pytest.raises(ShapeError):

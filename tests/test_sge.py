@@ -1,4 +1,7 @@
 """Guidance embeddings: composition, the fitting loss and loop, file IO."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -294,3 +297,25 @@ def test_sge_truncated_payload(tmp_path, sched):
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(FormatError):
         load_sge(path)
+
+
+def test_sge_empty_set_rejected(tmp_path):
+    path = tmp_path / "empty.crds"
+    path.write_bytes(b"CRDS" + struct.pack("<IIIIII", 1, 0, 2, 2, 0, 50) + b"[]")
+    with pytest.raises(FormatError, match="no samples"):
+        load_sge(path)
+
+
+def test_sge_metadata_count_must_match(tmp_path, sched):
+    net = _zero_net(2, sched.T)
+    out = fit_sge(net, sched, np.array([[1.0, 0.0], [0.0, 1.0]]),
+                  RigidityMap(eta=2, t_lo=0, t_hi=sched.T),
+                  SgeFitConfig(iterations=5), RngStream(16, "fit"))
+    path = tmp_path / "set.crds"
+    save_sge(path, out)
+    blob = path.read_bytes()
+    payload = blob[:4 + 24 + 8 * 2 * 2 * 2]
+    for metas in ([{}], [{}, {}, {}], {"0": {}}):
+        path.write_bytes(payload + json.dumps(metas).encode("utf-8"))
+        with pytest.raises(FormatError, match="2 entries"):
+            load_sge(path)

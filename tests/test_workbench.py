@@ -147,6 +147,26 @@ def test_config_round_trip(tmp_path):
     assert loaded.hash() == cfg.hash()
 
 
+def test_config_round_trip_path_with_hash_sign(tmp_path):
+    ckpt = tmp_path / "run#1" / "model.crdn"
+    ckpt.parent.mkdir()
+    ckpt.write_bytes(b"")
+    cfg = ExperimentConfig.defaults(train__checkpoint=str(ckpt))
+    path = tmp_path / "config.toml"
+    cfg.write(path)
+    loaded = ExperimentConfig.from_file(path)
+    assert loaded["train"]["checkpoint"] == str(ckpt)
+    assert loaded.values == cfg.values
+
+
+def test_parse_strips_comments_outside_quotes_only():
+    values = parse_config_text('[source]\nkind = "two-moons"  # "#" here is a comment\n'
+                               '[run]\nguidance = "mean" # k = 3\n')
+    assert values["source"]["kind"] == "two-moons"
+    assert values["run"]["guidance"] == "mean"
+    assert values["run"]["k"] == 10
+
+
 def test_config_hash_tracks_content():
     a = ExperimentConfig.defaults()
     b = ExperimentConfig.defaults(run__seed=1)
@@ -291,6 +311,27 @@ def test_sprite_run_writes_grid(tmp_path):
                        run__count=8)
     manifest = run_experiment(cfg, tmp_path / "sprites")
     assert os.path.exists(manifest.artifacts["grid"])
+
+
+def test_report_cluster_rule_names_the_assignment():
+    from crdi.diffusion import TIME_EMBED_DIM, NoiseNet
+    from crdi.numerics import Mlp
+    from crdi.schedules import linear_schedule, make_plan
+    from crdi.sge import SgeSet
+    from crdi.workbench.experiment import _rigidity_map, evaluate
+
+    for kind, rule in (("sprite-images", "max-ssim-target"),
+                       ("ring-of-gaussians", "nearest-target-feature")):
+        cfg = _fast_config(source__kind=kind, target__kind=kind, run__k=2,
+                           run__count=4, run__eval_count=8)
+        d = int(np.prod(sample_shape(cfg.domain_spec("target"))))
+        schedule = linear_schedule(60, 1e-4, 0.02)
+        net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), d, 60).freeze()
+        targets = flatten(synth_domain(cfg.domain_spec("target"), 2))
+        sge_set = SgeSet.zeros(2, d, _rigidity_map(cfg), targets=targets)
+        samples = flatten(synth_domain(cfg.domain_spec("source"), 4))
+        report = evaluate(cfg, schedule, net, sge_set, samples, make_plan(schedule, 10))
+        assert report.config["cluster_rule"] == rule
 
 
 # ---------------------------------------------------------------- CLI
