@@ -11,36 +11,30 @@ from pathlib import Path
 
 import click
 
-from ..diffusion import load_checkpoint
 from ..errors import ConfigError, CrdiError, FormatError, NumericError
-from ..numerics import RngStream
-from ..sampler import GenerationRequest, generate, reconstruct
-from ..schedules import linear_schedule, make_plan
-from ..sge import load_sge
-from .config import ExperimentConfig
-from .experiment import (_perturb_schedule, evaluate, prepare_source_model,
-                         run_experiment, sweep)
-from .tensor_io import read_tensor, write_tensor
+from .config import ExperimentConfig, parse_param_value
+from .experiment import (evaluate_stage, fit_stage, generate_stage, load_fitted,
+                         load_samples, load_source_model, prepare_source_model,
+                         reconstruct_stage, run_experiment, sweep)
 
 
 def _load(config_path, seed):
     cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.values["run"]["seed"] = seed
-        cfg.validate()
-    return cfg
+    return cfg if seed is None else cfg.with_value("run.seed", seed)
 
 
 def common_options(f):
+    """--config, --seed and --out: the command gets the loaded config and the
+    output directory, and crdi errors become exit codes."""
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=True), help="experiment config file")
     @click.option("--seed", type=int, default=None, help="override run.seed")
-    @click.option("--out", "out_dir", required=True, type=click.Path(),
+    @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
                   help="output directory")
     @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+    def wrapper(config_path, seed, out_dir, **kwargs):
         try:
-            return f(*args, **kwargs)
+            return f(_load(config_path, seed), out_dir, **kwargs)
         except (ConfigError, FormatError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
@@ -60,94 +54,45 @@ def main():
 
 @main.command("train-source")
 @common_options
-def cli_train_source(config_path, seed, out_dir):
+def cli_train_source(cfg, out):
     """Train the source diffusion model and write model.crdn."""
-    cfg = _load(config_path, seed)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, _, trace = prepare_source_model(cfg, out)
     if trace is not None:
-        write_tensor(out / "loss_trace.crdt", trace)
         click.echo(f"final loss {trace[-100:].mean():.4f} -> {out / 'model.crdn'}")
 
 
 @main.command("fit-sge")
 @common_options
-def cli_fit_sge(config_path, seed, out_dir):
+def cli_fit_sge(cfg, out):
     """Fit per-sample guidance embeddings against the k-shot target set."""
-    from ..sge import SgeFitConfig, fit_sge, save_sge
-    from .domains import flatten, synth_domain
-    from .experiment import _rigidity_map
-
-    cfg = _load(config_path, seed)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    schedule, net, _ = prepare_source_model(cfg, out)
-    targets = flatten(synth_domain(cfg.domain_spec("target"), cfg["run"]["k"]))
-    fc = SgeFitConfig(lr=cfg["sge"]["lr"], lam=cfg["sge"]["lam"],
-                      iterations=cfg["sge"]["iterations"],
-                      coupling=cfg["sge"]["coupling"])
-    sge_set = fit_sge(net, schedule, targets, _rigidity_map(cfg), fc,
-                      RngStream(cfg["run"]["seed"], "fit"))
-    save_sge(out / "sge.crds", sge_set)
-    write_tensor(out / "targets.crdt", targets)
+    sge_set = fit_stage(cfg, *load_source_model(cfg, out), out)
     click.echo(f"fitted {len(sge_set.members)} embeddings -> {out / 'sge.crds'}")
-
-
-def _load_fitted(cfg, out):
-    schedule = linear_schedule(cfg["schedule"]["T"], cfg["schedule"]["beta_start"],
-                               cfg["schedule"]["beta_end"])
-    net = load_checkpoint(out / "model.crdn")
-    sge_set = load_sge(out / "sge.crds")
-    sge_set.targets = read_tensor(out / "targets.crdt")
-    return schedule, net, sge_set
 
 
 @main.command("generate")
 @common_options
-def cli_generate(config_path, seed, out_dir):
+def cli_generate(cfg, out):
     """Generate diversity-enhanced samples from fitted artifacts in --out."""
-    cfg = _load(config_path, seed)
-    out = Path(out_dir)
-    schedule, net, sge_set = _load_fitted(cfg, out)
-    plan = make_plan(schedule, cfg["inference"]["steps"])
-    request = GenerationRequest(guidance=cfg["run"]["guidance"],
-                                start=cfg["run"]["start"],
-                                perturb=_perturb_schedule(cfg), plan=plan,
-                                count=cfg["run"]["count"],
-                                stream=RngStream(cfg["run"]["seed"], "generate"))
-    samples = generate(net, schedule, sge_set, request)
-    write_tensor(out / "samples.crdt", samples)
+    samples = generate_stage(cfg, *load_fitted(cfg, out), out)
     click.echo(f"wrote {samples.shape[0]} samples -> {out / 'samples.crdt'}")
 
 
 @main.command("reconstruct")
 @common_options
 @click.option("--sample", "sample_id", type=int, default=0, show_default=True)
-def cli_reconstruct(config_path, seed, out_dir, sample_id):
+def cli_reconstruct(cfg, out, sample_id):
     """Deterministically reconstruct one fitted target sample."""
-    cfg = _load(config_path, seed)
-    out = Path(out_dir)
-    schedule, net, sge_set = _load_fitted(cfg, out)
-    plan = make_plan(schedule, cfg["inference"]["steps"])
-    x = reconstruct(net, schedule, sge_set, sample_id,
-                    RngStream(cfg["run"]["seed"], f"recon{sample_id}"), plan)
-    write_tensor(out / f"recon{sample_id}.crdt", x[None, :])
-    click.echo(f"wrote reconstruction -> {out / f'recon{sample_id}.crdt'}")
+    click.echo(f"wrote reconstruction -> {reconstruct_stage(cfg, out, sample_id)}")
 
 
 @main.command("evaluate")
 @common_options
-def cli_evaluate(config_path, seed, out_dir):
+def cli_evaluate(cfg, out):
     """Score samples.crdt in --out against fresh target draws."""
-    cfg = _load(config_path, seed)
-    out = Path(out_dir)
-    schedule, net, sge_set = _load_fitted(cfg, out)
-    samples = read_tensor(out / "samples.crdt")
-    plan = make_plan(schedule, cfg["inference"]["steps"])
-    report = evaluate(cfg, schedule, net, sge_set, samples, plan)
-    (out / "report.json").write_text(
-        json.dumps({"config_hash": cfg.hash(), **report.to_dict()}, indent=2))
+    schedule, net, sge_set, plan = load_fitted(cfg, out)
+    report = evaluate_stage(cfg, schedule, net, sge_set, load_samples(out), plan, out)
     click.echo(json.dumps(report.to_csv_row()))
 
 
@@ -156,26 +101,17 @@ def cli_evaluate(config_path, seed, out_dir):
 @click.option("--param", required=True, help="dotted key, e.g. sge.eta")
 @click.option("--values", "values_csv", required=True,
               help="comma-separated values, e.g. 1,8,25")
-def cli_sweep(config_path, seed, out_dir, param, values_csv):
-    """Run one experiment per value and aggregate a sweep.csv table."""
-    cfg = _load(config_path, seed)
-    values = []
-    for raw in values_csv.split(","):
-        raw = raw.strip()
-        try:
-            values.append(int(raw))
-        except ValueError:
-            values.append(float(raw))
-    table = sweep(cfg, param, values, out_dir)
-    click.echo(f"wrote {table}")
+def cli_sweep(cfg, out, param, values_csv):
+    """Run one experiment per value, in order, and aggregate a sweep.csv table."""
+    values = [parse_param_value(param, raw) for raw in values_csv.split(",")]
+    click.echo(f"wrote {sweep(cfg, param, values, out)}")
 
 
 @main.command("report")
 @common_options
-def cli_report(config_path, seed, out_dir):
+def cli_report(cfg, out):
     """Run the full pipeline and print the metric summary."""
-    cfg = _load(config_path, seed)
-    manifest = run_experiment(cfg, out_dir)
+    manifest = run_experiment(cfg, out)
     report = json.loads(Path(manifest.artifacts["report"]).read_text())
     click.echo(json.dumps({k: report[k] for k in
                            ("mc_ssim", "frechet", "intra_diversity")}))

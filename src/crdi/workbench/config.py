@@ -91,15 +91,36 @@ def parse_config_text(text: str) -> dict:
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {section}.{key} at line {lineno}")
         val = _parse_value(raw, f"{section}.{key}")
-        default = _SCHEMA[section][key]
-        if isinstance(default, bool) != isinstance(val, bool):
-            raise ConfigError(f"type mismatch for {section}.{key} at line {lineno}")
-        if isinstance(default, float) and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
-        if type(val) is not type(default):
-            raise ConfigError(f"type mismatch for {section}.{key} at line {lineno}")
-        values[section][key] = val
+        values[section][key] = _typed(section, key, val, f" at line {lineno}")
     return values
+
+
+def _typed(section: str, key: str, val, where: str = ""):
+    """val checked against the schema default's type; ints promote to float."""
+    default = _SCHEMA[section][key]
+    if isinstance(default, bool) != isinstance(val, bool):
+        raise ConfigError(f"type mismatch for {section}.{key}{where}")
+    if isinstance(default, float) and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if type(val) is not type(default):
+        raise ConfigError(f"type mismatch for {section}.{key}{where}")
+    return val
+
+
+def _schema_key(param: str):
+    """(section, key) of a dotted schema key such as "sge.eta"."""
+    section, _, key = param.partition(".")
+    if key not in _SCHEMA.get(section, {}):
+        raise ConfigError(f"unknown config key {param!r} (expected section.key)")
+    return section, key
+
+
+def parse_param_value(param: str, raw: str):
+    """A command-line value read by its key's schema type; strings stay as given."""
+    section, key = _schema_key(param)
+    if isinstance(_SCHEMA[section][key], str):
+        return raw.strip()
+    return _parse_value(raw, param)
 
 
 @dataclass
@@ -125,11 +146,16 @@ class ExperimentConfig:
     def defaults(cls, **overrides) -> "ExperimentConfig":
         values = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
         for dotted, val in overrides.items():
-            sec, key = dotted.split("__")
-            if sec not in values or key not in values[sec]:
-                raise ConfigError(f"unknown config key {sec}.{key}")
+            sec, key = _schema_key(dotted.replace("__", "."))
             values[sec][key] = val
         return cls.from_dict(values)
+
+    def with_value(self, param: str, val) -> "ExperimentConfig":
+        """A validated copy with the dotted parameter set to val."""
+        section, key = _schema_key(param)
+        values = {sec: dict(kv) for sec, kv in self.values.items()}
+        values[section][key] = _typed(section, key, val)
+        return ExperimentConfig.from_dict(values)
 
     def validate(self):
         v = self.values

@@ -1,13 +1,12 @@
 """Experiment orchestration: train -> fit -> generate -> evaluate, plus
-parameter sweeps over disjoint output directories."""
+parameter sweeps over disjoint output directories. Each stage has one function,
+shared by ``run_experiment`` and the staged CLI; it writes its own artifacts."""
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +14,23 @@ import numpy as np
 from .. import __version__
 from ..diffusion import (NoiseNet, TrainConfig, load_checkpoint, save_checkpoint,
                          train_source)
+from ..errors import ConfigError
 from ..metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
                        mc_ssim, ssim)
 from ..numerics import RngStream
 from ..sampler import GenerationRequest, generate, reconstruct
 from ..schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
                          make_plan)
-from ..sge import SgeFitConfig, SgeSet, fit_sge, save_sge
+from ..sge import SgeFitConfig, SgeSet, fit_sge, load_sge, save_sge
 from .config import ExperimentConfig
 from .domains import flatten, sample_shape, synth_domain
-from .tensor_io import write_grid, write_tensor
+from .tensor_io import read_tensor, write_grid, write_tensor
+
+
+# Manifest key -> file name in out_dir, in manifest order.
+_ARTIFACTS = {"config": "config.toml", "model": "model.crdn", "loss_trace": "loss_trace.crdt",
+              "sge": "sge.crds", "targets": "targets.crdt", "samples": "samples.crdt",
+              "grid": "samples.pgm", "report": "report.json", "report_csv": "report.csv"}
 
 
 @dataclass
@@ -35,8 +41,7 @@ class RunManifest:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "artifacts": self.artifacts,
-                "timestamps": self.timestamps, "version": self.version}
+        return asdict(self)
 
 
 def _rigidity_map(config: ExperimentConfig) -> RigidityMap:
@@ -62,14 +67,35 @@ def _extractor(config: ExperimentConfig) -> FeatureExtractor:
                             seed=config["run"]["seed"])
 
 
+def _schedule(config: ExperimentConfig):
+    return linear_schedule(config["schedule"]["T"], config["schedule"]["beta_start"],
+                           config["schedule"]["beta_end"])
+
+
+def _source_net(config: ExperimentConfig, path) -> NoiseNet:
+    """The checkpoint at path; its T and d must be the ones config trains."""
+    net = load_checkpoint(path)
+    T = config["schedule"]["T"]
+    d = int(np.prod(sample_shape(config.domain_spec("source"))))
+    if (net.T, net.d) != (T, d):
+        raise ConfigError(f"checkpoint {path} has T={net.T}, d={net.d}; config has T={T}, d={d}")
+    return net
+
+
+def _input(out_dir, name: str) -> Path:
+    path = Path(out_dir) / name
+    if not path.exists():
+        raise ConfigError(f"missing input {path}: run the stage that writes it first")
+    return path
+
+
 def prepare_source_model(config: ExperimentConfig, out_dir: Path):
-    """Train the source model from config, or load the configured checkpoint."""
-    schedule = linear_schedule(config["schedule"]["T"],
-                               config["schedule"]["beta_start"],
-                               config["schedule"]["beta_end"])
+    """Source stage: train the model from config, writing model.crdn and
+    loss_trace.crdt, or load the configured checkpoint (trace None)."""
+    schedule = _schedule(config)
     ckpt = config["train"]["checkpoint"]
     if ckpt:
-        return schedule, load_checkpoint(ckpt), None
+        return schedule, _source_net(config, ckpt), None
     seed = config["run"]["seed"]
     src_spec = config.domain_spec("source")
     d = int(np.prod(sample_shape(src_spec)))
@@ -79,9 +105,89 @@ def prepare_source_model(config: ExperimentConfig, out_dir: Path):
     tc = TrainConfig(steps=config["train"]["steps"], batch=config["train"]["batch"],
                      lr=config["train"]["lr"])
     net, trace = train_source(net, schedule, dataset, tc, RngStream(seed, "train"))
-    path = out_dir / "model.crdn"
-    save_checkpoint(path, net)
+    save_checkpoint(out_dir / "model.crdn", net)
+    write_tensor(out_dir / "loss_trace.crdt", trace)
     return schedule, net, trace
+
+
+def load_source_model(config: ExperimentConfig, out_dir):
+    """Source net for a later stage: train.checkpoint if set, else out_dir/model.crdn."""
+    ckpt = config["train"]["checkpoint"] or _input(out_dir, "model.crdn")
+    return _schedule(config), _source_net(config, ckpt)
+
+
+def load_fitted(config: ExperimentConfig, out_dir):
+    """Inputs of the stages after fit-sge: schedule, net, SgeSet with targets, plan."""
+    schedule, net = load_source_model(config, out_dir)
+    sge_set = load_sge(_input(out_dir, "sge.crds"))
+    sge_set.targets = read_tensor(_input(out_dir, "targets.crdt"))
+    return schedule, net, sge_set, make_plan(schedule, config["inference"]["steps"])
+
+
+def load_samples(out_dir) -> np.ndarray:
+    return read_tensor(_input(out_dir, "samples.crdt"))
+
+
+def fit_stage(config: ExperimentConfig, schedule, net, out_dir: Path) -> SgeSet:
+    """Fit stage: one SGE per target shot (all zero under the no-sge
+    ablation); writes sge.crds and targets.crdt."""
+    targets = flatten(synth_domain(config.domain_spec("target"), config["run"]["k"]))
+    rmap = _rigidity_map(config)
+    if config["run"]["ablation"] == "no-sge":
+        sge_set = SgeSet.zeros(*targets.shape, rmap, targets=targets)
+    else:
+        fc = SgeFitConfig(lr=config["sge"]["lr"], lam=config["sge"]["lam"],
+                          iterations=config["sge"]["iterations"],
+                          coupling=config["sge"]["coupling"])
+        sge_set = fit_sge(net, schedule, targets, rmap, fc,
+                          RngStream(config["run"]["seed"], "fit"))
+    save_sge(out_dir / "sge.crds", sge_set)
+    write_tensor(out_dir / "targets.crdt", targets)
+    return sge_set
+
+
+def generate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
+                   plan, out_dir: Path) -> np.ndarray:
+    """Generate stage: run.count guided samples, written to samples.crdt and,
+    for image domains, a samples.pgm contact sheet."""
+    run = config["run"]
+    request = GenerationRequest(guidance=run["guidance"], start=run["start"],
+                                perturb=_perturb_schedule(config), plan=plan,
+                                count=run["count"], stream=RngStream(run["seed"], "generate"))
+    samples = generate(net, schedule, sge_set, request)
+    write_tensor(out_dir / "samples.crdt", samples)
+    tgt_spec = config.domain_spec("target")
+    if tgt_spec.kind == "sprite-images":
+        write_grid(out_dir / "samples.pgm",
+                   list(samples[:16].reshape(-1, *sample_shape(tgt_spec))), columns=4)
+    return samples
+
+
+def evaluate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
+                   samples: np.ndarray, plan, out_dir: Path) -> MetricsReport:
+    """Evaluate stage: the metric battery, written to report.json and report.csv."""
+    report = evaluate(config, schedule, net, sge_set, samples, plan)
+    (out_dir / "report.json").write_text(
+        json.dumps({"config_hash": config.hash(), **report.to_dict()}, indent=2))
+    _write_csv(out_dir / "report.csv", [{"config_hash": config.hash(), **report.to_csv_row()}])
+    return report
+
+
+def reconstruct_target(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
+                       plan, sample_id: int) -> np.ndarray:
+    """Deterministic reconstruction of one fitted target, started at the
+    annealing start alpha_t as evaluate scores it."""
+    return reconstruct(net, schedule, sge_set, sample_id,
+                       RngStream(config["run"]["seed"], f"recon{sample_id}"),
+                       plan, alpha_t=_perturb_schedule(config).alpha_t)
+
+
+def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path:
+    """One target reconstructed from the fitted artifacts in out_dir, to recon<id>.crdt."""
+    x = reconstruct_target(config, *load_fitted(config, out_dir), sample_id)
+    path = Path(out_dir) / f"recon{sample_id}.crdt"
+    write_tensor(path, x[None, :])
+    return path
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
@@ -90,72 +196,24 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timestamps = {"started": time.time()}
-    artifacts = {}
     stage = "setup"
     try:
         config.write(out_dir / "config.toml")
-        artifacts["config"] = str(out_dir / "config.toml")
-        seed = config["run"]["seed"]
-        is_images = config.domain_spec("target").kind == "sprite-images"
-        shape = sample_shape(config.domain_spec("target"))
-
         stage = "train-source"
-        schedule, net, trace = prepare_source_model(config, out_dir)
-        if (out_dir / "model.crdn").exists():
-            artifacts["model"] = str(out_dir / "model.crdn")
-        if trace is not None:
-            write_tensor(out_dir / "loss_trace.crdt", trace)
-            artifacts["loss_trace"] = str(out_dir / "loss_trace.crdt")
-
+        schedule, net, _ = prepare_source_model(config, out_dir)
         stage = "fit-sge"
-        tgt_spec = config.domain_spec("target")
-        targets = flatten(synth_domain(tgt_spec, config["run"]["k"]))
-        rmap = _rigidity_map(config)
-        if config["run"]["ablation"] == "no-sge":
-            sge_set = SgeSet.zeros(targets.shape[0], targets.shape[1], rmap,
-                                   targets=targets)
-        else:
-            fc = SgeFitConfig(lr=config["sge"]["lr"], lam=config["sge"]["lam"],
-                              iterations=config["sge"]["iterations"],
-                              coupling=config["sge"]["coupling"])
-            sge_set = fit_sge(net, schedule, targets, rmap, fc,
-                              RngStream(seed, "fit"))
-        save_sge(out_dir / "sge.crds", sge_set)
-        artifacts["sge"] = str(out_dir / "sge.crds")
-        write_tensor(out_dir / "targets.crdt", targets)
-        artifacts["targets"] = str(out_dir / "targets.crdt")
-
+        sge_set = fit_stage(config, schedule, net, out_dir)
         stage = "generate"
         plan = make_plan(schedule, config["inference"]["steps"])
-        request = GenerationRequest(mode="generate",
-                                    guidance=config["run"]["guidance"],
-                                    start=config["run"]["start"],
-                                    perturb=_perturb_schedule(config),
-                                    plan=plan, count=config["run"]["count"],
-                                    stream=RngStream(seed, "generate"))
-        samples = generate(net, schedule, sge_set, request)
-        write_tensor(out_dir / "samples.crdt", samples)
-        artifacts["samples"] = str(out_dir / "samples.crdt")
-        if is_images:
-            imgs = samples[:16].reshape(-1, *shape)
-            write_grid(out_dir / "samples.pgm", list(imgs), columns=4)
-            artifacts["grid"] = str(out_dir / "samples.pgm")
-
+        samples = generate_stage(config, schedule, net, sge_set, plan, out_dir)
         stage = "evaluate"
-        report = evaluate(config, schedule, net, sge_set, samples, plan)
-        (out_dir / "report.json").write_text(
-            json.dumps({"config_hash": config.hash(), **report.to_dict()}, indent=2))
-        artifacts["report"] = str(out_dir / "report.json")
-        row = {"config_hash": config.hash(), **report.to_csv_row()}
-        with open(out_dir / "report.csv", "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(row))
-            w.writeheader()
-            w.writerow(row)
-        artifacts["report_csv"] = str(out_dir / "report.csv")
+        evaluate_stage(config, schedule, net, sge_set, samples, plan, out_dir)
     except Exception as exc:
         (out_dir / "failed").write_text(f"stage: {stage}\ncause: {exc}\n")
         raise
     timestamps["finished"] = time.time()
+    artifacts = {key: str(out_dir / name) for key, name in _ARTIFACTS.items()
+                 if (out_dir / name).exists()}
     manifest = RunManifest(config.hash(), artifacts, timestamps)
     (out_dir / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2))
     return manifest
@@ -164,36 +222,26 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
 def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
              samples: np.ndarray, plan) -> MetricsReport:
     """Metric battery for one generated set."""
-    seed = config["run"]["seed"]
     tgt_spec = config.domain_spec("target")
-    shape = sample_shape(tgt_spec)
     is_images = tgt_spec.kind == "sprite-images"
     eval_targets = flatten(synth_domain(tgt_spec, config["run"]["eval_count"],
-                                        RngStream(seed, "eval-targets")))
+                                        RngStream(config["run"]["seed"], "eval-targets")))
     extractor = _extractor(config)
     targets = sge_set.targets
+    # One row per sample, each in its domain shape (a view of the flat rows).
+    gen, tgt = (a.reshape(-1, *sample_shape(tgt_spec)) for a in (samples, targets))
 
     ssim_pairs = []
     mc = None
     if is_images:
-        alpha_t = int(round(config["perturb"]["alpha_frac"] * schedule.T))
-        recon = [reconstruct(net, schedule, sge_set, i,
-                             RngStream(seed, f"recon{i}"), plan, alpha_t=alpha_t)
+        recon = [reconstruct_target(config, schedule, net, sge_set, plan, i)
                  for i in range(len(sge_set.members))]
-        ssim_pairs = [ssim(r.reshape(shape), t.reshape(shape))
-                      for r, t in zip(recon, targets)]
-        gen_imgs = [s.reshape(shape) for s in samples]
-        tgt_imgs = [t.reshape(shape) for t in targets]
-        mc = mc_ssim(gen_imgs, tgt_imgs, n=config["metrics"]["n"],
+        ssim_pairs = [ssim(r.reshape(t.shape), t) for r, t in zip(recon, tgt)]
+        mc = mc_ssim(gen, tgt, n=config["metrics"]["n"],
                      direction=config["metrics"]["direction"])
 
     fd = frechet(extractor(samples), extractor(eval_targets))
-    if is_images:
-        div, degenerate = intra_diversity(samples.reshape(-1, *shape),
-                                          targets.reshape(-1, *shape),
-                                          extractor, images=True)
-    else:
-        div, degenerate = intra_diversity(samples, targets, extractor)
+    div, degenerate = intra_diversity(gen, tgt, extractor, images=is_images)
     return MetricsReport(
         ssim_per_pair=[float(v) for v in ssim_pairs],
         mc_ssim=mc, frechet=fd, intra_diversity=div,
@@ -208,39 +256,27 @@ def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
                 "eval_targets": int(eval_targets.shape[0])})
 
 
-def _max_workers() -> int:
-    env = os.environ.get("CRDI_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def sweep(config: ExperimentConfig, param: str, values, out_dir) -> Path:
-    """Run one experiment per parameter value in its own subdirectory and
-    aggregate the per-run CSV rows."""
+    """Run one experiment per parameter value, in order, each in its own
+    subdirectory, and aggregate the per-run CSV rows. Every cell config is
+    validated before the first cell runs."""
+    cells = [(val, config.with_value(param, val)) for val in values]
+    if not cells:
+        raise ConfigError(f"sweep over {param} needs at least one value")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sec, key = param.split(".")
-
-    def run_cell(val):
-        cell_cfg = ExperimentConfig.from_dict(
-            {s: dict(kv) for s, kv in config.values.items()})
-        cell_cfg.values[sec][key] = val
-        cell_dir = out_dir / f"{sec}.{key}={val}"
-        run_experiment(cell_cfg, cell_dir)
-        return val, cell_dir
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        cells = list(pool.map(run_cell, values))
-
     rows = []
-    for val, cell_dir in cells:
+    for val, cell_cfg in cells:
+        cell_dir = out_dir / f"{param}={val}"
+        run_experiment(cell_cfg, cell_dir)
         with open(cell_dir / "report.csv") as f:
-            row = next(csv.DictReader(f))
-        rows.append({param: val, **row})
-    table = out_dir / "sweep.csv"
-    with open(table, "w", newline="") as f:
+            rows.append({param: val, **next(csv.DictReader(f))})
+    _write_csv(out_dir / "sweep.csv", rows)
+    return out_dir / "sweep.csv"
+
+
+def _write_csv(path: Path, rows: list):
+    with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    return table

@@ -293,11 +293,7 @@ def test_run_experiment_failure_marker(tmp_path):
 def test_sweep_emits_rows(tmp_path):
     import csv
     from crdi.workbench.experiment import sweep
-    os.environ["CRDI_THREADS"] = "2"
-    try:
-        table = sweep(_fast_config(), "sge.eta", [1, 4], tmp_path / "sweep")
-    finally:
-        del os.environ["CRDI_THREADS"]
+    table = sweep(_fast_config(), "sge.eta", [1, 4], tmp_path / "sweep")
     with open(table) as f:
         rows = list(csv.DictReader(f))
     assert [r["sge.eta"] for r in rows] == ["1", "4"]
@@ -390,3 +386,182 @@ def test_cli_seed_override(tmp_path):
         assert res.exit_code == 0, res.output
         outs.append((out / "samples.crdt").read_bytes())
     assert outs[0] != outs[1]
+
+
+# ---------------------------------------------------------------- staged CLI
+
+STAGE_ARTIFACTS = ("model.crdn", "loss_trace.crdt", "sge.crds", "targets.crdt",
+                   "samples.crdt", "report.json")
+
+
+def _cli(*args):
+    from click.testing import CliRunner
+    from crdi.workbench.cli import main
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def _config_file(tmp_path, name="config.toml", **overrides):
+    cfg = _fast_config(**overrides)
+    path = tmp_path / name
+    cfg.write(path)
+    return cfg, path
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("fit-sge must not train the source model")
+
+
+@pytest.mark.parametrize("ablation", ["none", "no-sge"])
+def test_cli_stages_match_report(tmp_path, monkeypatch, ablation):
+    import crdi.workbench.experiment as wbx
+
+    _, cfg_path = _config_file(tmp_path, run__ablation=ablation)
+    staged = tmp_path / "staged"
+    for cmd in ("train-source", "fit-sge", "generate", "evaluate"):
+        with monkeypatch.context() as m:
+            if cmd == "fit-sge":
+                m.setattr(wbx, "train_source", _no_training)
+            res = _cli(cmd, "--config", cfg_path, "--out", staged)
+        assert res.exit_code == 0, (cmd, res.output)
+    res = _cli("report", "--config", cfg_path, "--out", tmp_path / "full")
+    assert res.exit_code == 0, res.output
+    for name in STAGE_ARTIFACTS:
+        assert (staged / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_cli_stages_load_configured_checkpoint(tmp_path):
+    from crdi.workbench.experiment import prepare_source_model
+
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    prepare_source_model(_fast_config(), model_dir)
+    _, cfg_path = _config_file(
+        tmp_path, train__checkpoint=str(model_dir / "model.crdn"))
+    out = tmp_path / "staged"
+    for cmd in (["fit-sge"], ["generate"], ["reconstruct", "--sample", "1"],
+                ["evaluate"]):
+        res = _cli(*cmd, "--config", cfg_path, "--out", out)
+        assert res.exit_code == 0, (cmd, res.output)
+    assert not (out / "model.crdn").exists()
+    assert (out / "recon1.crdt").exists()
+    res = _cli("report", "--config", cfg_path, "--out", tmp_path / "full")
+    assert res.exit_code == 0, res.output
+    for name in ("sge.crds", "samples.crdt", "report.json"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("done,cmd,missing", [
+    ((), "generate", "model.crdn"),
+    ((), "fit-sge", "model.crdn"),
+    (("train-source",), "generate", "sge.crds"),
+    (("train-source",), "reconstruct", "sge.crds"),
+    (("train-source", "fit-sge"), "evaluate", "samples.crdt"),
+])
+def test_cli_missing_input_names_the_file(tmp_path, done, cmd, missing):
+    _, cfg_path = _config_file(tmp_path)
+    out = tmp_path / "out"
+    for prior in done:
+        assert _cli(prior, "--config", cfg_path, "--out", out).exit_code == 0
+    res = _cli(cmd, "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert missing in res.output
+    assert "Traceback" not in res.output
+
+
+def _foreign_checkpoint(tmp_path, d, T):
+    from crdi.diffusion import NoiseNet, save_checkpoint
+    from crdi.numerics import RngStream
+
+    path = tmp_path / f"d{d}-T{T}.crdn"
+    save_checkpoint(path, NoiseNet.init(d, T, [8], RngStream(0, "init")))
+    return str(path)
+
+
+@pytest.mark.parametrize("d,T", [(2, 120), (256, 60)])
+def test_checkpoint_config_mismatch_rejected(tmp_path, d, T):
+    from crdi.workbench.experiment import run_experiment
+
+    cfg = _fast_config(train__checkpoint=_foreign_checkpoint(tmp_path, d, T))
+    with pytest.raises(ConfigError, match=f"T={T}, d={d}"):
+        run_experiment(cfg, tmp_path / "run")
+    assert "stage: train-source" in (tmp_path / "run" / "failed").read_text()
+
+
+def test_cli_generate_rejects_mismatched_checkpoint(tmp_path):
+    _, cfg_path = _config_file(
+        tmp_path, train__checkpoint=_foreign_checkpoint(tmp_path, 2, 120))
+    res = _cli("generate", "--config", cfg_path, "--out", tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert "T=120" in res.output
+
+
+def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
+    from crdi.diffusion import load_checkpoint
+    from crdi.numerics import RngStream
+    from crdi.sampler import reconstruct
+    from crdi.schedules import linear_schedule, make_plan
+    from crdi.sge import load_sge
+
+    cfg, cfg_path = _config_file(tmp_path, sge__window_hi_frac=0.8,
+                                 perturb__alpha_frac=0.8)
+    out = tmp_path / "out"
+    for cmd in (["train-source"], ["fit-sge"], ["reconstruct", "--sample", "0"]):
+        res = _cli(*cmd, "--config", cfg_path, "--out", out)
+        assert res.exit_code == 0, (cmd, res.output)
+    schedule = linear_schedule(60, 1e-4, 0.02)
+    sge_set = load_sge(out / "sge.crds")
+    sge_set.targets = read_tensor(out / "targets.crdt")
+    expected = reconstruct(load_checkpoint(out / "model.crdn"), schedule, sge_set,
+                           0, RngStream(cfg["run"]["seed"], "recon0"),
+                           make_plan(schedule, 10), alpha_t=48)
+    np.testing.assert_array_equal(read_tensor(out / "recon0.crdt"), expected[None, :])
+
+
+# ---------------------------------------------------------------- sweep input
+
+@pytest.mark.parametrize("param,values,message", [
+    ("eta", "1,4", "unknown config key 'eta'"),
+    ("nope.eta", "1,4", "unknown config key 'nope.eta'"),
+    ("sge.bogus", "1,4", "unknown config key 'sge.bogus'"),
+    ("sge.eta", "1,2.5", "type mismatch"),
+    ("sge.eta", "1,many", "cannot parse"),
+    ("target.bar", "true,1", "type mismatch"),
+    ("run.k", "2,0", "run.k must be >= 1"),
+    ("run.ablation", "none,bogus", "unknown ablation"),
+])
+def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, message):
+    _, cfg_path = _config_file(tmp_path)
+    out = tmp_path / "sweep"
+    res = _cli("sweep", "--config", cfg_path, "--out", out,
+               "--param", param, "--values", values)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_validates_every_cell_first(tmp_path):
+    from crdi.workbench.experiment import sweep
+
+    with pytest.raises(ConfigError, match="run.k"):
+        sweep(_fast_config(), "run.k", [2, 0], tmp_path / "sweep")
+    with pytest.raises(ConfigError, match="type mismatch"):
+        sweep(_fast_config(), "sge.eta", [1, "4"], tmp_path / "sweep")
+    with pytest.raises(ConfigError, match="at least one value"):
+        sweep(_fast_config(), "sge.eta", [], tmp_path / "sweep")
+    assert not (tmp_path / "sweep" / "run.k=2").exists()
+
+
+def test_cli_sweep_string_values(tmp_path):
+    import csv
+
+    _, cfg_path = _config_file(tmp_path)
+    out = tmp_path / "sweep"
+    res = _cli("sweep", "--config", cfg_path, "--out", out,
+               "--param", "run.ablation", "--values", "none,no-sge")
+    assert res.exit_code == 0, res.output
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["run.ablation"] for r in rows] == ["none", "no-sge"]
+    assert rows[0]["frechet"] != rows[1]["frechet"]
