@@ -10,8 +10,8 @@ from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
 from .diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                         load_checkpoint, noise_from_score, noise_to, predict_x0,
                         save_checkpoint, score_from_noise, train_source)
-from .sge import (Sge, SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
-                  mean_sge, save_sge, sge_loss)
+from .sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge, save_sge,
+                  sge_loss)
 from .sampler import GenerationRequest, generate, perturb_guidance, reconstruct
 from .metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
                       mc_ssim, ssim)

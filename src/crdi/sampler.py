@@ -9,8 +9,9 @@ import numpy as np
 from .diffusion import NoiseNet, ddim_step, noise_to
 from .errors import InvalidArgumentError
 from .numerics import RngStream, gaussian
-from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule, gamma)
-from .sge import Sge, SgeSet, guided_noise, mean_sge
+from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
+                        RigidityMap, gamma, segment_for)
+from .sge import SgeSet, guided_noise
 
 
 @dataclass
@@ -21,7 +22,6 @@ class GenerationRequest:
     output) or the set-wise mean; ``start`` is "prior" or "noised".
     """
 
-    mode: str = "generate"            # "generate" | "reconstruct"
     guidance: str = "per-sample"      # "per-sample" | "mean"
     start: str = "noised"             # "prior" | "noised"
     start_sample: int | None = None   # forced reference sample for "noised"
@@ -33,11 +33,6 @@ class GenerationRequest:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
-        if self.mode == "reconstruct":
-            if self.perturb is not None and self.perturb.s != 0.0:
-                raise InvalidArgumentError("reconstruct mode forces s = 0")
-            if self.start != "noised":
-                raise InvalidArgumentError("reconstruct mode starts from its own noised sample")
 
 
 def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
@@ -58,59 +53,63 @@ def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
     return g + sched.s * np.sqrt(1.0 - gm) * eps
 
 
-def _run_chain(net: NoiseNet, schedule: NoiseSchedule, sge: Sge, x: np.ndarray,
-               t_start: int, plan: InferencePlan, sched: PerturbationSchedule,
-               stream: RngStream) -> np.ndarray:
-    if sge.rmap.t_hi < t_start:
+def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
+               rmap: RigidityMap, x: np.ndarray, t_start: int, plan: InferencePlan,
+               sched: PerturbationSchedule, stream: RngStream) -> np.ndarray:
+    """One reverse chain from x at plan step t_start down to 0, guided by
+    the (eta, d) segments."""
+    if not net.frozen:
+        raise InvalidArgumentError("generation requires a frozen net")
+    if rmap.t_hi < t_start:
         raise InvalidArgumentError(
-            f"guidance window top {sge.rmap.t_hi} below start step {t_start}")
+            f"guidance window top {rmap.t_hi} below start step {t_start}")
     for t, t_prev in plan.steps_down():
         if t > t_start:
             continue
-        g_t = sge.lookup(int(t))
+        g_t = segments[segment_for(rmap, int(t))]
         g_hat = perturb_guidance(g_t, int(t), sched, stream)
         eps_hat = guided_noise(net, schedule, x, int(t), g_hat)
         x = ddim_step(schedule, x, int(t), int(t_prev), eps_hat)
     return x
 
 
+def _start_step(plan: InferencePlan, t: int) -> int:
+    """The highest plan step at or below t, which must leave a step to run."""
+    t_start = int(max(s for s in plan.tau if s <= t))
+    if t_start < 1:
+        raise InvalidArgumentError("annealing start below the first inference step")
+    return t_start
+
+
 def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
              request: GenerationRequest) -> np.ndarray:
     """Run `count` independent guided reverse chains; returns (count, d)."""
-    if not net.frozen:
-        raise InvalidArgumentError("generation requires a frozen net")
     if request.plan is None or request.perturb is None or request.stream is None:
         raise InvalidArgumentError("request needs plan, perturb schedule and stream")
     sched = request.perturb
     plan = request.plan
-    n = len(sge_set.members)
-    t_start = int(max(t for t in plan.tau if t <= sched.alpha_t)) \
-        if request.start == "noised" else int(plan.tau[-1])
-    if t_start < 1:
-        raise InvalidArgumentError("annealing start below the first inference step")
+    n = len(sge_set)
+    if request.start_sample is not None and not (0 <= request.start_sample < n):
+        raise InvalidArgumentError(f"unknown sample id {request.start_sample}")
+    if request.start == "noised" and sge_set.targets is None:
+        raise InvalidArgumentError("noised start requires targets on the SgeSet")
+    t_start = _start_step(plan, sched.alpha_t if request.start == "noised" else plan.tau[-1])
 
-    shared_mean = mean_sge(sge_set) if request.guidance == "mean" else None
+    mean = sge_set.mean_segments if request.guidance == "mean" else None
     out = np.zeros((request.count, net.d))
     for j in range(request.count):
         st = request.stream.child(f"out{j}")
-        if shared_mean is not None:
-            sge = shared_mean
-        elif request.start_sample is not None:
-            if not (0 <= request.start_sample < n):
-                raise InvalidArgumentError(f"unknown sample id {request.start_sample}")
-            sge = sge_set.members[request.start_sample]
-        else:
-            sge = sge_set.members[st.randint(0, n - 1)]
-
+        i = request.start_sample
+        if i is None and mean is None:
+            i = st.randint(0, n - 1)
         if request.start == "noised":
-            if sge_set.targets is None:
-                raise InvalidArgumentError("noised start requires targets on the SgeSet")
-            ref = request.start_sample if request.start_sample is not None \
-                else (sge.sample_id if sge.sample_id >= 0 else st.randint(0, n - 1))
+            ref = i if i is not None else st.randint(0, n - 1)
             x = noise_to(schedule, sge_set.targets[ref], t_start, gaussian(st, (net.d,)))
         else:
             x = gaussian(st, (net.d,))
-        out[j] = _run_chain(net, schedule, sge, x, t_start, plan, sched, st)
+        segments = mean if mean is not None else sge_set.segments[i]
+        out[j] = _run_chain(net, schedule, segments, sge_set.rmap, x, t_start,
+                            plan, sched, st)
     return out
 
 
@@ -120,17 +119,20 @@ def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
                 alpha_t: int | None = None) -> np.ndarray:
     """Deterministic reconstruction of one fitted target (s = 0).
 
-    The chain starts from the target noised to `alpha_t` (default: the
-    full depth T) and is guided on every remaining step.
+    The chain starts from the target noised to the highest plan step at or
+    below `alpha_t` (default: the full depth T), with noise drawn from
+    ``stream.child("out0")``, and is fully guided on every step.
     """
-    if not (0 <= sample_id < len(sge_set.members)):
+    if not (0 <= sample_id < len(sge_set)):
         raise InvalidArgumentError(f"unknown sample id {sample_id}")
     if plan is None:
         raise InvalidArgumentError("reconstruct needs an inference plan")
-    start_t = schedule.T if alpha_t is None else alpha_t
-    # beta_t = start keeps gamma = 1 on every step below it: no annealing
-    sched = PerturbationSchedule(alpha_t=start_t + 1, beta_t=start_t, s=0.0)
-    request = GenerationRequest(mode="reconstruct", guidance="per-sample",
-                                start="noised", start_sample=sample_id,
-                                perturb=sched, plan=plan, count=1, stream=stream)
-    return generate(net, schedule, sge_set, request)[0]
+    if sge_set.targets is None:
+        raise InvalidArgumentError("reconstruct requires targets on the SgeSet")
+    t_start = _start_step(plan, schedule.T if alpha_t is None else alpha_t)
+    # beta_t = t_start keeps gamma = 1, and so the fitted guidance, on every step
+    sched = PerturbationSchedule(alpha_t=t_start + 1, beta_t=t_start, s=0.0)
+    st = stream.child("out0")
+    x = noise_to(schedule, sge_set.targets[sample_id], t_start, gaussian(st, (net.d,)))
+    return _run_chain(net, schedule, sge_set.segments[sample_id], sge_set.rmap, x,
+                      t_start, plan, sched, st)

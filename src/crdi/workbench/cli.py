@@ -68,7 +68,7 @@ def cli_fit_sge(cfg, out):
     """Fit per-sample guidance embeddings against the k-shot target set."""
     out.mkdir(parents=True, exist_ok=True)
     sge_set = fit_stage(cfg, *load_source_model(cfg, out), out)
-    click.echo(f"fitted {len(sge_set.members)} embeddings -> {out / 'sge.crds'}")
+    click.echo(f"fitted {len(sge_set)} embeddings -> {out / 'sge.crds'}")
 
 
 @main.command("generate")

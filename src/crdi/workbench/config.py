@@ -167,8 +167,13 @@ class ExperimentConfig:
                 raise ConfigError(f"perturb.{frac} must be in [0, 1]")
         if v["perturb"]["beta_frac"] >= v["perturb"]["alpha_frac"]:
             raise ConfigError("perturb.beta_frac must be < perturb.alpha_frac")
-        if v["run"]["k"] < 1:
-            raise ConfigError("run.k must be >= 1")
+        for param, low in (("run.k", 1), ("run.count", 1), ("run.eval_count", 2),
+                           ("train.batch", 1), ("sge.eta", 1)):
+            section, key = param.split(".")
+            if v[section][key] < low:
+                raise ConfigError(f"{param} must be >= {low}")
+        if not 2 <= v["inference"]["steps"] <= v["schedule"]["T"] + 1:
+            raise ConfigError("inference.steps must be in [2, schedule.T + 1]")
         if v["run"]["ablation"] not in ("none", "no-sge", "no-perturbation"):
             raise ConfigError(f"unknown ablation {v['run']['ablation']!r}")
         for side in ("source", "target"):

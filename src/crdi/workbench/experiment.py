@@ -235,7 +235,7 @@ def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
     mc = None
     if is_images:
         recon = [reconstruct_target(config, schedule, net, sge_set, plan, i)
-                 for i in range(len(sge_set.members))]
+                 for i in range(len(sge_set))]
         ssim_pairs = [ssim(r.reshape(t.shape), t) for r, t in zip(recon, tgt)]
         mc = mc_ssim(gen, tgt, n=config["metrics"]["n"],
                      direction=config["metrics"]["direction"])

@@ -9,8 +9,8 @@ from crdi.numerics import RngStream, gaussian
 from crdi.sampler import (GenerationRequest, generate, perturb_guidance,
                           reconstruct)
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
-                            make_plan)
-from crdi.sge import SgeFitConfig, SgeSet, fit_sge
+                            make_plan, segment_for)
+from crdi.sge import SgeFitConfig, SgeSet, fit_sge, guided_noise
 
 
 # ------------------------------------------------------------ perturb_guidance
@@ -96,11 +96,6 @@ def test_window_must_cover_guided_steps(tiny_ring):
 def test_request_validation():
     with pytest.raises(InvalidArgumentError):
         GenerationRequest(count=0)
-    with pytest.raises(InvalidArgumentError):
-        GenerationRequest(mode="reconstruct",
-                          perturb=PerturbationSchedule(alpha_t=10, beta_t=1, s=0.2))
-    with pytest.raises(InvalidArgumentError):
-        GenerationRequest(mode="reconstruct", start="prior")
 
 
 # ------------------------------------------------------------ reconstruct
@@ -114,6 +109,18 @@ def fitted_tiny(tiny_ring):
                       SgeFitConfig(lr=0.05, iterations=600, lam=0.1),
                       RngStream(6, "fit"))
     return schedule, net, sge_set
+
+
+@pytest.mark.parametrize("guidance", ["per-sample", "mean"])
+@pytest.mark.parametrize("start_sample", [5, -1])
+def test_generate_rejects_unknown_start_sample(fitted_tiny, guidance, start_sample):
+    schedule, net, sge_set = fitted_tiny  # three samples
+    request = GenerationRequest(
+        guidance=guidance, start="noised", start_sample=start_sample,
+        perturb=PerturbationSchedule(alpha_t=40, beta_t=20, s=0.1),
+        plan=make_plan(schedule, 10), count=2, stream=RngStream(11, "gen"))
+    with pytest.raises(InvalidArgumentError, match="unknown sample id"):
+        generate(net, schedule, sge_set, request)
 
 
 def test_reconstruct_deterministic(fitted_tiny):
@@ -148,13 +155,32 @@ def test_reconstruct_unknown_sample(fitted_tiny):
         reconstruct(net, schedule, sge_set, 7, RngStream(0), make_plan(schedule, 5))
 
 
+def test_reconstruct_guides_every_step_from_alpha_t(fitted_tiny, monkeypatch):
+    # plan steps 0, 6, 11, 17, 22, 28, 33, 39, ...: alpha_t = 38 starts at 33,
+    # and every step, the first included, gets the fitted segment
+    import crdi.sampler
+
+    schedule, net, sge_set = fitted_tiny
+    calls = []
+
+    def recording(net, schedule, x_t, t, g):
+        calls.append((t, g.copy()))
+        return guided_noise(net, schedule, x_t, t, g)
+
+    monkeypatch.setattr(crdi.sampler, "guided_noise", recording)
+    reconstruct(net, schedule, sge_set, 1, RngStream(7, "r"), make_plan(schedule, 10),
+                alpha_t=38)
+    assert [t for t, _ in calls] == [33, 28, 22, 17, 11, 6]
+    for t, g in calls:
+        np.testing.assert_array_equal(g, sge_set.segments[1, segment_for(sge_set.rmap, t)])
+
+
 def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     """Zero net in 1-D with one segment per timestep: the closed-form
     guidance g_t = -eps/sqrt(1 - ab_t) keeps the chain on the forward
     noising ray, so reconstruction lands on the target."""
     from crdi.diffusion import NoiseNet
     from crdi.numerics import Mlp
-    from crdi.sge import Sge
 
     sched1 = linear_schedule(50, 1e-4, 0.02)
     net = NoiseNet(backbone=Mlp.zeros([1 + 32, 1]), d=1, T=50).freeze()
@@ -166,8 +192,7 @@ def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     rmap = RigidityMap(eta=50, t_lo=1, t_hi=50)  # one segment per timestep
     segments = np.array([-eps / sched1.sqrt_one_minus_ab(t)
                          for t in range(1, 51)])
-    sge_set = SgeSet([Sge(segments, rmap, 0)], rmap, segments.copy(),
-                     targets=target[None, :])
+    sge_set = SgeSet(segments[None], rmap, [{}], targets=target[None, :])
     plan = make_plan(sched1, 26)  # even timesteps only, so the chain
     out = reconstruct(net, sched1, sge_set, 0, RngStream(9, "r"), plan,
                       alpha_t=alpha_t)  # starts right at t = 24, fully guided

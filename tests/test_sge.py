@@ -9,9 +9,9 @@ from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, \
     score_from_noise
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
 from crdi.numerics import Mlp, RngStream, gaussian
-from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule
-from crdi.sge import (Sge, SgeFitConfig, SgeSet, fit_sge, guided_noise,
-                      load_sge, mean_sge, save_sge, sge_loss)
+from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule, segment_for
+from crdi.sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
+                      save_sge, sge_loss)
 
 
 def _zero_net(d: int, T: int) -> NoiseNet:
@@ -112,43 +112,68 @@ def test_loss_gradient_matches_finite_differences(tiny_ring):
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
-# ---------------------------------------------------------------- mean_sge
+# ---------------------------------------------------------------- SgeSet
 
 def test_mean_of_single_member():
     rmap = RigidityMap(eta=2, t_lo=0, t_hi=9)
     seg = gaussian(RngStream(5, "seg"), (2, 3))
-    s = SgeSet([Sge(seg.copy(), rmap, 0)], rmap, seg.copy())
-    np.testing.assert_array_equal(mean_sge(s).segments, seg)
+    s = SgeSet(seg[None].copy(), rmap, [{}])
+    np.testing.assert_array_equal(s.mean_segments, seg)
 
 
 def test_mean_of_opposites_is_zero():
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=9)
     g = gaussian(RngStream(6, "g"), (1, 4))
-    s = SgeSet([Sge(g, rmap, 0), Sge(-g, rmap, 1)], rmap, np.zeros((1, 4)))
-    np.testing.assert_allclose(mean_sge(s).segments, np.zeros((1, 4)), atol=1e-15)
+    s = SgeSet(np.stack([g, -g]), rmap, [{}, {}])
+    np.testing.assert_allclose(s.mean_segments, np.zeros((1, 4)), atol=1e-15)
 
 
 def test_mean_matches_direct_sum():
     rmap = RigidityMap(eta=3, t_lo=0, t_hi=29)
     segs = [gaussian(RngStream(7, f"m{i}"), (3, 2)) for i in range(3)]
-    s = SgeSet([Sge(g, rmap, i) for i, g in enumerate(segs)], rmap,
-               np.zeros((3, 2)))
-    np.testing.assert_allclose(mean_sge(s).segments,
+    s = SgeSet(np.stack(segs), rmap, [{}, {}, {}])
+    np.testing.assert_allclose(s.mean_segments,
                                (segs[0] + segs[1] + segs[2]) / 3.0, atol=1e-15)
 
 
 def test_mean_empty_set_rejected():
+    # a set with no samples, whose mean would be empty, cannot be built
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=9)
     with pytest.raises(InvalidArgumentError):
-        mean_sge(SgeSet([], rmap, np.zeros((1, 2))))
+        SgeSet(np.zeros((0, 1, 2)), rmap, [])
+    with pytest.raises(InvalidArgumentError):
+        SgeSet.zeros(0, 2, rmap)
+
+
+@pytest.mark.parametrize("shape,n_meta", [
+    ((2, 2), 2),          # not 3-D
+    ((2, 2, 2, 2), 2),    # not 3-D
+    ((2, 3, 2), 2),       # eta = 3 against rmap.eta = 2
+    ((2, 2, 2), 1),       # one meta entry for two samples
+    ((2, 2, 2), 3),
+], ids=["2-D", "4-D", "eta", "meta-short", "meta-long"])
+def test_sgeset_rejects_malformed(shape, n_meta):
+    rmap = RigidityMap(eta=2, t_lo=0, t_hi=9)
+    with pytest.raises((ShapeError, InvalidArgumentError)):
+        SgeSet(np.zeros(shape), rmap, [{}] * n_meta)
+
+
+def test_members_view_reads_rows():
+    rmap = RigidityMap(eta=2, t_lo=0, t_hi=9)
+    segments = gaussian(RngStream(17, "rows"), (3, 2, 4))
+    s = SgeSet(segments, rmap, [{"i": i} for i in range(3)])
+    assert len(s) == 3
+    for i, m in enumerate(s.members):
+        np.testing.assert_array_equal(m.segments, segments[i])
+        assert m.meta == {"i": i}
 
 
 def test_lookup_uses_segments():
     rmap = RigidityMap(eta=2, t_lo=0, t_hi=9)
     seg = np.array([[1.0, 1.0], [2.0, 2.0]])
-    sge = Sge(seg, rmap, 0)
-    np.testing.assert_array_equal(sge.lookup(0), seg[0])
-    np.testing.assert_array_equal(sge.lookup(9), seg[1])
+    sge_set = SgeSet(seg[None], rmap, [{}])
+    np.testing.assert_array_equal(sge_set.segments[0, segment_for(rmap, 0)], seg[0])
+    np.testing.assert_array_equal(sge_set.segments[0, segment_for(rmap, 9)], seg[1])
 
 
 # ---------------------------------------------------------------- fit_sge
@@ -162,8 +187,7 @@ def test_single_sample_penalty_is_inert(sched):
                     SgeFitConfig(lr=0.05, iterations=200, lam=lam),
                     RngStream(8, "fit"))
             for lam in (0.0, 5.0)]
-    np.testing.assert_allclose(fits[0].members[0].segments,
-                               fits[1].members[0].segments, atol=1e-12)
+    np.testing.assert_allclose(fits[0].segments[0], fits[1].segments[0], atol=1e-12)
 
 
 def test_zero_iterations_keeps_initialization(sched):
@@ -172,8 +196,8 @@ def test_zero_iterations_keeps_initialization(sched):
     rmap = RigidityMap(eta=3, t_lo=0, t_hi=sched.T)
     out = fit_sge(net, sched, targets, rmap,
                   SgeFitConfig(iterations=0), RngStream(9, "fit"))
-    for m in out.members:
-        np.testing.assert_array_equal(m.segments, np.zeros((3, 2)))
+    for segments in out.segments:
+        np.testing.assert_array_equal(segments, np.zeros((3, 2)))
 
 
 def test_fit_leaves_net_untouched(tiny_ring):
@@ -244,7 +268,7 @@ def test_lambda_pulls_members_toward_mean(tiny_ring):
         fitted = fit_sge(net, schedule, targets, rmap,
                          SgeFitConfig(lr=0.05, iterations=400, lam=lam),
                          RngStream(12, "fit"))
-        segs = np.array([m.segments for m in fitted.members])
+        segs = fitted.segments
         return max(np.linalg.norm(segs[i] - segs[j])
                    for i in range(3) for j in range(i + 1, 3))
 
@@ -257,7 +281,7 @@ def test_fit_metadata_recorded(sched):
     out = fit_sge(net, sched, np.array([[1.0, 0.0]]),
                   RigidityMap(eta=1, t_lo=0, t_hi=sched.T),
                   SgeFitConfig(iterations=30), RngStream(13, "fit"))
-    meta = out.members[0].meta
+    meta = out.meta[0]
     assert meta["iterations"] == 30
     assert np.isfinite(meta["final_loss"])
 
@@ -272,11 +296,11 @@ def test_sge_round_trip(tmp_path, sched):
     path = tmp_path / "set.crds"
     save_sge(path, out)
     loaded = load_sge(path)
-    assert len(loaded.members) == 2
+    assert len(loaded) == 2
     assert loaded.rmap == out.rmap
-    for a, b in zip(loaded.members, out.members):
-        np.testing.assert_array_equal(a.segments, b.segments)
-        assert a.meta == b.meta
+    for a, b, meta_a, meta_b in zip(loaded.segments, out.segments, loaded.meta, out.meta):
+        np.testing.assert_array_equal(a, b)
+        assert meta_a == meta_b
     np.testing.assert_array_equal(loaded.mean_segments, out.mean_segments)
 
 
@@ -319,3 +343,16 @@ def test_sge_metadata_count_must_match(tmp_path, sched):
         path.write_bytes(payload + json.dumps(metas).encode("utf-8"))
         with pytest.raises(FormatError, match="2 entries"):
             load_sge(path)
+
+
+def test_sge_file_layout(tmp_path):
+    # a round trip cannot see a consistent transposition; the bytes can
+    n, eta, d, t_lo, t_hi = 3, 2, 4, 5, 40
+    segments = np.arange(n * eta * d).reshape(n, eta, d)
+    meta = [{"final_loss": 0.5 * i} for i in range(n)]
+    path = tmp_path / "layout.crds"
+    save_sge(path, SgeSet(segments, RigidityMap(eta=eta, t_lo=t_lo, t_hi=t_hi), meta))
+    expected = (b"CRDS" + struct.pack("<IIIIII", 1, n, eta, d, t_lo, t_hi)
+                + segments.astype("<f8").tobytes(order="C")
+                + json.dumps(meta).encode("utf-8"))
+    assert path.read_bytes() == expected

@@ -125,6 +125,25 @@ def test_config_fraction_validation():
         ExperimentConfig.defaults(perturb__alpha_frac=0.5, perturb__beta_frac=0.6)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(run__count=0), "run.count must be >= 1"),
+    (dict(run__eval_count=1), "run.eval_count must be >= 2"),
+    (dict(train__batch=0), "train.batch must be >= 1"),
+    (dict(sge__eta=0), "sge.eta must be >= 1"),
+    (dict(inference__steps=1), "inference.steps"),
+    (dict(schedule__T=60, inference__steps=62), "inference.steps"),
+], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high"])
+def test_config_bounds_validation(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.defaults(**overrides)
+
+
+def test_config_bounds_accept_edges():
+    ExperimentConfig.defaults(run__count=1, run__eval_count=2, train__batch=1, sge__eta=1,
+                              schedule__T=60, inference__steps=61)
+    ExperimentConfig.defaults(inference__steps=2)
+
+
 def test_source_target_overlap_rejected():
     # a target identical to the source violates the adaptation premise
     with pytest.raises(ConfigError, match="differ"):
@@ -529,6 +548,7 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("sge.eta", "1,many", "cannot parse"),
     ("target.bar", "true,1", "type mismatch"),
     ("run.k", "2,0", "run.k must be >= 1"),
+    ("run.count", "4,0", "run.count must be >= 1"),
     ("run.ablation", "none,bogus", "unknown ablation"),
 ])
 def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, message):
