@@ -2,16 +2,17 @@
 stepping, score/noise conversion, and source-model training."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import AdamState, Mlp, RngStream, adam_step, gaussian, mlp_backward, mlp_forward
 from .schedules import NoiseSchedule
 
 TIME_EMBED_DIM = 32
+MAX_T = 100_000   # bounds the (T + 1, TIME_EMBED_DIM) time table a checkpoint can ask for
 _CHECKPOINT_MAGIC = b"CRDN"
 _CHECKPOINT_VERSION = 1
 
@@ -39,8 +40,8 @@ class NoiseNet:
     time_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T < 1:
-            raise InvalidArgumentError(f"T={self.T} must be >= 1")
+        if not 1 <= self.T <= MAX_T:
+            raise InvalidArgumentError(f"T={self.T} must be in [1, {MAX_T}]")
         table = time_features(np.arange(self.T + 1), self.T)
         table.flags.writeable = False
         self.time_table = table
@@ -182,44 +183,20 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
 
 def save_checkpoint(path, net: NoiseNet):
     """CRDN format: magic, version, T, layer widths, params as LE float64."""
-    with open(path, "wb") as f:
-        f.write(_CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", _CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", net.T))
-        f.write(struct.pack("<I", len(net.backbone.widths)))
-        for w in net.backbone.widths:
-            f.write(struct.pack("<I", w))
-        for p in net.backbone.parameters():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    widths = net.backbone.widths
+    binfmt.write(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+                 [net.T, len(widths), *widths], net.backbone.parameters())
 
 
 def load_checkpoint(path) -> NoiseNet:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at byte 0: {blob[:4]!r}")
-    off = 4
-    try:
-        version, T, nwidths = struct.unpack_from("<III", blob, off)
-        off += 12
-        if version != _CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-        widths = list(struct.unpack_from(f"<{nwidths}I", blob, off))
-        off += 4 * nwidths
-        weights, biases = [], []
-        for a, b in zip(widths[:-1], widths[1:]):
-            w = np.frombuffer(blob, dtype="<f8", count=a * b, offset=off).reshape(a, b)
-            off += 8 * a * b
-            bias = np.frombuffer(blob, dtype="<f8", count=b, offset=off)
-            off += 8 * b
-            weights.append(w.copy())
-            biases.append(bias.copy())
-    except struct.error as exc:
-        raise FormatError(f"truncated checkpoint at byte {off}") from exc
-    except ValueError as exc:
-        raise FormatError(f"truncated checkpoint at byte {off}") from exc
-    if off != len(blob):
-        raise FormatError(f"trailing bytes at offset {off}")
-    if T < 1 or len(widths) < 2:
-        raise FormatError(f"bad checkpoint header (T={T}, widths={widths}) at byte 8")
-    return NoiseNet(backbone=Mlp(widths, weights, biases), d=widths[-1], T=T).freeze()
+    """A frozen NoiseNet whose widths run from d + TIME_EMBED_DIM to d."""
+    r = binfmt.Reader(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, "checkpoint")
+    T, nwidths = r.u32(2)
+    if not 1 <= T <= MAX_T or nwidths < 2:
+        raise FormatError(f"bad checkpoint header (T={T}, {nwidths} widths) at byte 8")
+    widths = list(r.u32(nwidths, positive=True))
+    if widths[0] != widths[-1] + TIME_EMBED_DIM:
+        raise FormatError(f"checkpoint input width {widths[0]} at byte 16 != d + {TIME_EMBED_DIM}")
+    params = [r.f64(s, finite=True) for a, b in zip(widths, widths[1:]) for s in ((a, b), (b,))]
+    r.done()
+    return NoiseNet(Mlp(widths, params[0::2], params[1::2]), d=widths[-1], T=T).freeze()

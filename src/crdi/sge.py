@@ -9,12 +9,12 @@ still validated against finite differences in the test suite.
 from __future__ import annotations
 
 import json
-import struct
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import AdamState, RngStream, adam_step, gaussian
@@ -172,40 +172,26 @@ def save_sge(path, sge_set: SgeSet):
     """CRDS format: magic, version, N, eta, d, window, the (N, eta, d)
     segment floats in C order, then a trailing JSON list of per-sample
     metadata. The set-wise mean is not stored; it is computed on demand."""
-    n, eta, d = sge_set.segments.shape
-    with open(path, "wb") as f:
-        f.write(_SGE_MAGIC)
-        f.write(struct.pack("<IIIIII", _SGE_VERSION, n, eta, d,
-                            sge_set.rmap.t_lo, sge_set.rmap.t_hi))
-        f.write(np.ascontiguousarray(sge_set.segments, dtype="<f8").tobytes())
-        f.write(json.dumps(sge_set.meta).encode("utf-8"))
+    rmap = sge_set.rmap
+    binfmt.write(path, _SGE_MAGIC, _SGE_VERSION, [*sge_set.segments.shape, rmap.t_lo, rmap.t_hi],
+                 [sge_set.segments], json.dumps(sge_set.meta).encode("utf-8"))
 
 
 def load_sge(path) -> SgeSet:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _SGE_MAGIC:
-        raise FormatError(f"bad SGE magic at byte 0: {blob[:4]!r}")
-    off = 4
-    try:
-        version, n, eta, d, t_lo, t_hi = struct.unpack_from("<IIIIII", blob, off)
-    except struct.error as exc:
-        raise FormatError(f"truncated SGE header at byte {off}") from exc
-    off += 24
-    if version != _SGE_VERSION:
-        raise FormatError(f"unsupported SGE version {version} at byte 4")
-    if n < 1:
+    """An SgeSet with a non-empty window, finite segments and one metadata dict per sample."""
+    r = binfmt.Reader(path, _SGE_MAGIC, _SGE_VERSION, "SGE")
+    if (n := r.u32(1)[0]) < 1:
         raise FormatError("SGE set holds no samples (N = 0 at byte 8)")
-    rmap = RigidityMap(eta=eta, t_lo=t_lo, t_hi=t_hi)
-    count = n * eta * d
-    end = off + 8 * count
-    if end > len(blob):
-        raise FormatError(f"truncated SGE payload: {len(blob)} bytes, floats end at byte {end}")
-    segments = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(n, eta, d)
+    eta, d = r.u32(2, positive=True)
+    t_lo, t_hi = r.u32(2)
+    if t_lo >= t_hi:
+        raise FormatError(f"empty SGE window ({t_lo}, {t_hi}) at byte 20")
+    segments = r.f64((n, eta, d), finite=True)
+    end = r.off
     try:
-        metas = json.loads(blob[end:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        metas = json.loads(r.rest().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad SGE metadata block at byte {end}") from exc
-    if not isinstance(metas, list) or len(metas) != n:
-        raise FormatError(f"SGE metadata block at byte {end} is not a list of {n} entries")
-    return SgeSet(segments.copy(), rmap, metas)
+    if not isinstance(metas, list) or [type(m) for m in metas] != [dict] * n:
+        raise FormatError(f"SGE metadata at byte {end} is not a list of {n} entries (objects)")
+    return SgeSet(segments, RigidityMap(eta=eta, t_lo=t_lo, t_hi=t_hi), metas)

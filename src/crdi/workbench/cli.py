@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from ..errors import ConfigError, CrdiError, FormatError, NumericError
+from ..errors import ConfigError, CrdiError, NumericError
 from .config import ExperimentConfig, parse_param_value
 from .experiment import (evaluate_stage, fit_stage, generate_stage, load_fitted,
                          load_samples, load_source_model, prepare_source_model,
@@ -35,7 +35,7 @@ def common_options(f):
     def wrapper(config_path, seed, out_dir, **kwargs):
         try:
             return f(_load(config_path, seed), out_dir, **kwargs)
-        except (ConfigError, FormatError) as exc:
+        except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
         except NumericError as exc:

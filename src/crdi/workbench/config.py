@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..diffusion import MAX_T
 from ..errors import ConfigError
 from .domains import DomainSpec
 
@@ -38,6 +39,18 @@ _DOMAIN_KEYS = {
                           "center_x", "center_y"},
     "two-moons": {"noise_std", "scale"},
     "sprite-images": {"size", "bar", "bar_row", "bar_intensity"},
+}
+
+# Keys whose string value must be one of a fixed set; the code branches on them.
+_CHOICES = {
+    "run.ablation": ("none", "no-sge", "no-perturbation"),
+    "run.guidance": ("per-sample", "mean"),
+    "run.start": ("noised", "prior"),
+    "sge.coupling": ("coupled", "independent"),
+    "metrics.direction": ("per-target", "per-generated"),
+    "metrics.feature": ("identity", "pixels", "random-projection"),
+    "source.kind": tuple(_DOMAIN_KEYS),
+    "target.kind": tuple(_DOMAIN_KEYS),
 }
 
 
@@ -167,19 +180,20 @@ class ExperimentConfig:
                 raise ConfigError(f"perturb.{frac} must be in [0, 1]")
         if v["perturb"]["beta_frac"] >= v["perturb"]["alpha_frac"]:
             raise ConfigError("perturb.beta_frac must be < perturb.alpha_frac")
-        for param, low in (("run.k", 1), ("run.count", 1), ("run.eval_count", 2),
-                           ("train.batch", 1), ("sge.eta", 1)):
+        for param, low in (("run.k", 1), ("run.count", 2), ("run.eval_count", 2),
+                           ("train.steps", 1), ("train.batch", 1), ("sge.eta", 1)):
             section, key = param.split(".")
             if v[section][key] < low:
                 raise ConfigError(f"{param} must be >= {low}")
+        if not 2 <= v["schedule"]["T"] <= MAX_T:
+            raise ConfigError(f"schedule.T must be in [2, {MAX_T}]")
         if not 2 <= v["inference"]["steps"] <= v["schedule"]["T"] + 1:
             raise ConfigError("inference.steps must be in [2, schedule.T + 1]")
-        if v["run"]["ablation"] not in ("none", "no-sge", "no-perturbation"):
-            raise ConfigError(f"unknown ablation {v['run']['ablation']!r}")
-        for side in ("source", "target"):
-            kind = v[side]["kind"]
-            if kind not in _DOMAIN_KEYS:
-                raise ConfigError(f"unknown {side}.kind {kind!r}")
+        for param, allowed in _CHOICES.items():
+            section, key = param.split(".")
+            if v[section][key] not in allowed:
+                raise ConfigError(f"unknown {key} {v[section][key]!r} for {param}; "
+                                  f"expected one of {', '.join(allowed)}")
         src, tgt = self.domain_spec("source"), self.domain_spec("target")
         if (src.kind, src.params) == (tgt.kind, tgt.params):
             raise ConfigError("source and target domains must differ")

@@ -119,8 +119,15 @@ def load_source_model(config: ExperimentConfig, out_dir):
 def load_fitted(config: ExperimentConfig, out_dir):
     """Inputs of the stages after fit-sge: schedule, net, SgeSet with targets, plan."""
     schedule, net = load_source_model(config, out_dir)
-    sge_set = load_sge(_input(out_dir, "sge.crds"))
-    sge_set.targets = read_tensor(_input(out_dir, "targets.crdt"))
+    sge_path, targets_path = _input(out_dir, "sge.crds"), _input(out_dir, "targets.crdt")
+    sge_set = load_sge(sge_path)
+    if sge_set.rmap != _rigidity_map(config):
+        raise ConfigError(f"{sge_path} was fitted with {sge_set.rmap}; config has "
+                          f"{_rigidity_map(config)}: rerun fit-sge")
+    sge_set.targets = read_tensor(targets_path)
+    if sge_set.targets.shape != (len(sge_set), net.d):
+        raise ConfigError(f"{targets_path} has shape {sge_set.targets.shape}, not "
+                          f"({len(sge_set)}, {net.d}) for the embeddings in {sge_path}")
     return schedule, net, sge_set, make_plan(schedule, config["inference"]["steps"])
 
 

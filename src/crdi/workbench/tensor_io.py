@@ -1,11 +1,11 @@
 """On-disk artifact formats: CRDT tensors and PGM sample grids."""
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
+from .. import binfmt
 from ..errors import FormatError, InvalidArgumentError
 
 _TENSOR_MAGIC = b"CRDT"
@@ -15,42 +15,18 @@ _TENSOR_VERSION = 1
 def write_tensor(path, tensor: np.ndarray):
     """CRDT format: magic, version u32, rank u32, dims u32, LE float64."""
     t = np.asarray(tensor, dtype=np.float64)
-    if t.ndim == 0:
-        raise FormatError("rank-0 tensors are not representable")
-    with open(path, "wb") as f:
-        f.write(_TENSOR_MAGIC)
-        f.write(struct.pack("<II", _TENSOR_VERSION, t.ndim))
-        f.write(struct.pack(f"<{t.ndim}I", *t.shape))
-        f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    if t.ndim == 0 or t.size == 0:
+        raise FormatError(f"tensors of shape {t.shape} are not representable")
+    binfmt.write(path, _TENSOR_MAGIC, _TENSOR_VERSION, [t.ndim, *t.shape], [t])
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _TENSOR_MAGIC:
-        raise FormatError(f"bad tensor magic at byte 0: {blob[:4]!r}")
-    off = 4
-    try:
-        version, rank = struct.unpack_from("<II", blob, off)
-    except struct.error as exc:
-        raise FormatError(f"truncated tensor header at byte {off}") from exc
-    off += 8
-    if version != _TENSOR_VERSION:
-        raise FormatError(f"unsupported tensor version {version} at byte 4")
-    if rank == 0:
-        raise FormatError("rank-0 tensor at byte 8")
-    try:
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-    except struct.error as exc:
-        raise FormatError(f"truncated dims at byte {off}") from exc
-    off += 4 * rank
-    count = int(np.prod(dims))
-    if off + 8 * count > len(blob):
-        raise FormatError(f"truncated payload at byte {off}")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-    if off + 8 * count != len(blob):
-        raise FormatError(f"trailing bytes at offset {off + 8 * count}")
-    return data.reshape(dims).copy()
+    """A CRDT tensor; its rank and every dimension must be at least 1."""
+    r = binfmt.Reader(path, _TENSOR_MAGIC, _TENSOR_VERSION, "tensor")
+    (rank,) = r.u32(1, positive=True)
+    tensor = r.f64(r.u32(rank, positive=True))
+    r.done()
+    return tensor
 
 
 def write_grid(path, images, columns: int):

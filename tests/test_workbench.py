@@ -126,7 +126,7 @@ def test_config_fraction_validation():
 
 
 @pytest.mark.parametrize("overrides,message", [
-    (dict(run__count=0), "run.count must be >= 1"),
+    (dict(run__count=0), "run.count must be >= 2"),
     (dict(run__eval_count=1), "run.eval_count must be >= 2"),
     (dict(train__batch=0), "train.batch must be >= 1"),
     (dict(sge__eta=0), "sge.eta must be >= 1"),
@@ -139,9 +139,46 @@ def test_config_bounds_validation(overrides, message):
 
 
 def test_config_bounds_accept_edges():
-    ExperimentConfig.defaults(run__count=1, run__eval_count=2, train__batch=1, sge__eta=1,
+    ExperimentConfig.defaults(run__count=2, run__eval_count=2, train__batch=1, sge__eta=1,
                               schedule__T=60, inference__steps=61)
     ExperimentConfig.defaults(inference__steps=2)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(schedule__T=1), "schedule.T must be in"),
+    (dict(schedule__T=100_001), "schedule.T must be in"),
+    (dict(train__steps=0), "train.steps must be >= 1"),
+], ids=["T-low", "T-high", "train-steps"])
+def test_config_schedule_and_train_bounds(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.defaults(**overrides)
+    ExperimentConfig.defaults(schedule__T=100_000, train__steps=1)
+
+
+@pytest.mark.parametrize("param,good,bad", [
+    ("run.guidance", "mean", "per_sample"),
+    ("run.start", "prior", "noise"),
+    ("sge.coupling", "independent", "coupled "),
+    ("metrics.direction", "per-generated", "per-sample"),
+    ("metrics.feature", "random-projection", "pixel"),
+    ("source.kind", "two-moons", "moons"),
+])
+def test_config_string_keys_take_known_values_only(param, good, bad):
+    key = param.replace(".", "__")
+    ExperimentConfig.defaults(**{key: good})
+    with pytest.raises(ConfigError, match=f"unknown .*{bad!r} for {param}"):
+        ExperimentConfig.defaults(**{key: bad})
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```toml\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    values = parse_config_text(blocks[0])
+    assert ExperimentConfig.from_dict(values).values == ExperimentConfig.defaults().values
 
 
 def test_source_target_overlap_rejected():
@@ -516,6 +553,47 @@ def test_cli_generate_rejects_mismatched_checkpoint(tmp_path):
     assert "T=120" in res.output
 
 
+def _fitted_out(tmp_path, cfg_path):
+    out = tmp_path / "out"
+    for cmd in ("train-source", "fit-sge"):
+        res = _cli(cmd, "--config", cfg_path, "--out", out)
+        assert res.exit_code == 0, (cmd, res.output)
+    return out
+
+
+def test_cli_generate_rejects_corrupted_sge(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    blob = (out / "sge.crds").read_bytes()
+    for corrupt in (blob[:60], blob[:12] + bytes(4) + blob[16:], blob + b"]"):
+        (out / "sge.crds").write_bytes(corrupt)
+        res = _cli("generate", "--config", cfg_path, "--out", out)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "byte" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("edit", [dict(sge__eta=4), dict(sge__window_lo_frac=0.5)],
+                         ids=["eta", "window"])
+def test_cli_generate_rejects_stale_rigidity_map(tmp_path, edit):
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    _, edited = _config_file(tmp_path, "edited.toml", **edit)
+    res = _cli("generate", "--config", edited, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "sge.crds" in res.output and "rerun fit-sge" in res.output
+    assert not (out / "samples.crdt").exists()
+
+
+def test_cli_generate_rejects_targets_not_matching_sge(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    write_tensor(out / "targets.crdt", read_tensor(out / "targets.crdt")[:2])
+    res = _cli("generate", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "targets.crdt" in res.output and "(3, 2)" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     from crdi.diffusion import load_checkpoint
     from crdi.numerics import RngStream
@@ -548,7 +626,7 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("sge.eta", "1,many", "cannot parse"),
     ("target.bar", "true,1", "type mismatch"),
     ("run.k", "2,0", "run.k must be >= 1"),
-    ("run.count", "4,0", "run.count must be >= 1"),
+    ("run.count", "4,0", "run.count must be >= 2"),
     ("run.ablation", "none,bogus", "unknown ablation"),
 ])
 def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, message):
@@ -558,6 +636,16 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
                "--param", param, "--values", values)
     assert res.exit_code == 2, res.output
     assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_sweep_rejects_unknown_string_value_before_running(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    out = tmp_path / "sweep"
+    res = _cli("sweep", "--config", cfg_path, "--out", out,
+               "--param", "metrics.feature", "--values", "identity,pixel")
+    assert res.exit_code == 2, res.output
+    assert "unknown feature 'pixel' for metrics.feature" in res.output
     assert not out.exists() or not any(out.iterdir())
 
 
