@@ -25,9 +25,9 @@ def _load(config_path, seed):
 
 def common_options(f):
     """--config, --seed and --out: the command gets the loaded config and the
-    output directory, and crdi errors become exit codes."""
+    output directory, and crdi and OS errors become exit codes."""
     @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True), help="experiment config file")
+                  type=click.Path(exists=True, dir_okay=False), help="experiment config file")
     @click.option("--seed", type=int, default=None, help="override run.seed")
     @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
                   help="output directory")
@@ -41,7 +41,7 @@ def common_options(f):
         except NumericError as exc:
             click.echo(f"numeric error: {exc}", err=True)
             sys.exit(3)
-        except CrdiError as exc:
+        except (CrdiError, OSError) as exc:  # an OSError's text names its path
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper

@@ -8,10 +8,13 @@ from pathlib import Path
 
 from ..diffusion import MAX_T
 from ..errors import ConfigError
-from .domains import DomainSpec
+from .domains import KINDS, DomainSpec
 
-# section -> key -> default. A default of None marks a required-by-context
-# optional string.
+# A domain section: its kind, then every parameter any kind takes.
+_DOMAIN = {"kind": "ring-of-gaussians",
+           **{key: val for _, params in KINDS.values() for key, val in params.items()}}
+
+# section -> key -> default; each value must have its default's type.
 _SCHEMA = {
     "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
     "inference": {"steps": 25},
@@ -20,25 +23,13 @@ _SCHEMA = {
     "perturb": {"alpha_frac": 1.0, "beta_frac": 0.6, "s": 0.1},
     "train": {"steps": 4000, "batch": 128, "lr": 1e-3, "hidden": "64,64",
               "checkpoint": ""},
-    "source": {"kind": "ring-of-gaussians", "components": 8, "radius": 2.0,
-               "rotation": 0.0, "center_x": 0.0, "center_y": 0.0,
-               "noise_std": 0.1, "scale": 1.5, "size": 16,
-               "bar": False, "bar_row": 11, "bar_intensity": 0.9},
-    "target": {"kind": "ring-of-gaussians", "components": 8, "radius": 1.8,
-               "rotation": 0.2, "center_x": 0.7, "center_y": 0.5,
-               "noise_std": 0.1, "scale": 1.5, "size": 16,
-               "bar": True, "bar_row": 11, "bar_intensity": 0.9},
+    "source": _DOMAIN,
+    "target": {**_DOMAIN, "radius": 1.8, "rotation": 0.2, "center_x": 0.7,
+               "center_y": 0.5, "bar": True},
     "run": {"k": 10, "count": 64, "seed": 0, "eval_count": 256,
             "ablation": "none", "guidance": "per-sample", "start": "noised"},
     "metrics": {"n": 3, "direction": "per-target", "feature": "identity",
                 "feature_dim": 32},
-}
-
-_DOMAIN_KEYS = {
-    "ring-of-gaussians": {"components", "radius", "rotation", "noise_std",
-                          "center_x", "center_y"},
-    "two-moons": {"noise_std", "scale"},
-    "sprite-images": {"size", "bar", "bar_row", "bar_intensity"},
 }
 
 # Keys whose string value must be one of a fixed set; the code branches on them.
@@ -49,8 +40,8 @@ _CHOICES = {
     "sge.coupling": ("coupled", "independent"),
     "metrics.direction": ("per-target", "per-generated"),
     "metrics.feature": ("identity", "pixels", "random-projection"),
-    "source.kind": tuple(_DOMAIN_KEYS),
-    "target.kind": tuple(_DOMAIN_KEYS),
+    "source.kind": tuple(KINDS),
+    "target.kind": tuple(KINDS),
 }
 
 
@@ -147,7 +138,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        cfg = cls(values)
+        """Schema defaults overridden by values, each type-checked, then validated."""
+        full = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
+        for section, keys in values.items():
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, val in keys.items():
+                if key not in _SCHEMA[section]:
+                    raise ConfigError(f"unknown key {section}.{key}")
+                full[section][key] = _typed(section, key, val)
+        cfg = cls(full)
         cfg.validate()
         return cfg
 
@@ -157,27 +157,25 @@ class ExperimentConfig:
 
     @classmethod
     def defaults(cls, **overrides) -> "ExperimentConfig":
-        values = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
+        """Schema defaults with section__key overrides."""
+        values = {}
         for dotted, val in overrides.items():
             sec, key = _schema_key(dotted.replace("__", "."))
-            values[sec][key] = val
+            values.setdefault(sec, {})[key] = val
         return cls.from_dict(values)
 
     def with_value(self, param: str, val) -> "ExperimentConfig":
         """A validated copy with the dotted parameter set to val."""
         section, key = _schema_key(param)
-        values = {sec: dict(kv) for sec, kv in self.values.items()}
-        values[section][key] = _typed(section, key, val)
-        return ExperimentConfig.from_dict(values)
+        return ExperimentConfig.from_dict({**self.values,
+                                           section: {**self.values[section], key: val}})
 
     def validate(self):
         v = self.values
-        for frac in ("window_lo_frac", "window_hi_frac"):
-            if not 0.0 <= v["sge"][frac] <= 1.0:
-                raise ConfigError(f"sge.{frac} must be in [0, 1]")
-        for frac in ("alpha_frac", "beta_frac"):
-            if not 0.0 <= v["perturb"][frac] <= 1.0:
-                raise ConfigError(f"perturb.{frac} must be in [0, 1]")
+        for section, key in (("sge", "window_lo_frac"), ("sge", "window_hi_frac"),
+                             ("perturb", "alpha_frac"), ("perturb", "beta_frac")):
+            if not 0.0 <= v[section][key] <= 1.0:
+                raise ConfigError(f"{section}.{key} must be in [0, 1]")
         if v["perturb"]["beta_frac"] >= v["perturb"]["alpha_frac"]:
             raise ConfigError("perturb.beta_frac must be < perturb.alpha_frac")
         for param, low in (("run.k", 1), ("run.count", 2), ("run.eval_count", 2),
@@ -197,25 +195,28 @@ class ExperimentConfig:
         src, tgt = self.domain_spec("source"), self.domain_spec("target")
         if (src.kind, src.params) == (tgt.kind, tgt.params):
             raise ConfigError("source and target domains must differ")
+        self.hidden_widths()
         ckpt = v["train"]["checkpoint"]
-        if ckpt and not Path(ckpt).exists():
-            raise ConfigError(f"checkpoint file {ckpt} does not exist")
+        if ckpt and not Path(ckpt).is_file():
+            raise ConfigError(f"checkpoint {ckpt} does not exist or is not a file")
 
     def domain_spec(self, side: str) -> DomainSpec:
         sec = self.values[side]
-        kind = sec["kind"]
-        params = {k: sec[k] for k in _DOMAIN_KEYS[kind]}
+        params = {key: sec[key] for key in KINDS[sec["kind"]][1]}
         tag = 0 if side == "source" else 1
-        return DomainSpec.make(kind, seed=self.values["run"]["seed"] * 2 + tag, **params)
+        return DomainSpec.make(sec["kind"], seed=self.values["run"]["seed"] * 2 + tag, **params)
 
     def hidden_widths(self) -> list:
-        return [int(w) for w in str(self.values["train"]["hidden"]).split(",") if w.strip()]
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.values, sort_keys=True)
+        """train.hidden as layer widths; "" is a linear net."""
+        hidden = self.values["train"]["hidden"]
+        widths = [w.strip() for w in hidden.split(",") if w.strip()]
+        if not all(w.isdecimal() and int(w) > 0 for w in widths):
+            raise ConfigError(f"train.hidden {hidden!r} must be comma-separated "
+                              "positive integers")
+        return [int(w) for w in widths]
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return hashlib.sha256(json.dumps(self.values, sort_keys=True).encode("utf-8")).hexdigest()
 
     def write(self, path):
         lines = []

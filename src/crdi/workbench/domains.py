@@ -8,12 +8,10 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from ..numerics import RngStream, gaussian
 
-SPRITE_SIZE = 16
-
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """One synthetic data domain. `params` override per-kind defaults."""
+    """One synthetic data domain: its kind and every parameter of that kind."""
 
     kind: str                      # ring-of-gaussians | two-moons | sprite-images
     params: tuple = ()             # sorted (key, value) pairs; hashable
@@ -21,41 +19,34 @@ class DomainSpec:
 
     @classmethod
     def make(cls, kind: str, seed: int = 0, **params) -> "DomainSpec":
-        return cls(kind=kind, params=tuple(sorted(params.items())), seed=seed)
-
-    def get(self, key, default):
-        return dict(self.params).get(key, default)
-
-
-def _ring(spec: DomainSpec, count: int, stream: RngStream) -> np.ndarray:
-    k = int(spec.get("components", 8))
-    radius = float(spec.get("radius", 2.0))
-    rotation = float(spec.get("rotation", 0.0))
-    std = float(spec.get("noise_std", 0.1))
-    center = np.array([float(spec.get("center_x", 0.0)),
-                       float(spec.get("center_y", 0.0))])
-    modes = (stream.uniform(count) * k).astype(np.int64).clip(0, k - 1)
-    ang = rotation + 2.0 * np.pi * modes / k
-    centers = center + np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
-    return centers + std * gaussian(stream, (count, 2))
+        """The spec with the kind's defaults for every parameter not given."""
+        if kind not in KINDS:
+            raise InvalidArgumentError(f"unknown domain kind {kind!r}")
+        defaults = KINDS[kind][1]
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise InvalidArgumentError(f"domain kind {kind!r} takes no parameter "
+                                       f"{', '.join(unknown)}; it takes {', '.join(defaults)}")
+        return cls(kind=kind, params=tuple(sorted({**defaults, **params}.items())), seed=seed)
 
 
-def _two_moons(spec: DomainSpec, count: int, stream: RngStream) -> np.ndarray:
-    std = float(spec.get("noise_std", 0.08))
-    scale = float(spec.get("scale", 1.5))
+def _ring(count, stream, *, components, radius, rotation, center_x, center_y, noise_std):
+    modes = (stream.uniform(count) * components).astype(np.int64).clip(0, components - 1)
+    ang = rotation + 2.0 * np.pi * modes / components
+    centers = np.stack([center_x + radius * np.cos(ang), center_y + radius * np.sin(ang)], axis=1)
+    return centers + noise_std * gaussian(stream, (count, 2))
+
+
+def _two_moons(count, stream, *, noise_std, scale):
     upper = stream.uniform(count) < 0.5
     theta = np.pi * stream.uniform(count)
     x = np.where(upper, np.cos(theta), 1.0 - np.cos(theta))
     y = np.where(upper, np.sin(theta), 0.5 - np.sin(theta))
     pts = scale * np.stack([x, y], axis=1)
-    return pts + std * gaussian(stream, (count, 2))
+    return pts + noise_std * gaussian(stream, (count, 2))
 
 
-def _sprites(spec: DomainSpec, count: int, stream: RngStream) -> np.ndarray:
-    size = int(spec.get("size", SPRITE_SIZE))
-    bar = bool(spec.get("bar", False))
-    bar_row = int(spec.get("bar_row", 11))
-    bar_intensity = float(spec.get("bar_intensity", 0.9))
+def _sprites(count, stream, *, size, bar, bar_row, bar_intensity):
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     out = np.zeros((count, size, size))
     for i in range(count):
@@ -73,10 +64,14 @@ def _sprites(spec: DomainSpec, count: int, stream: RngStream) -> np.ndarray:
     return out
 
 
-_KINDS = {
-    "ring-of-gaussians": _ring,
-    "two-moons": _two_moons,
-    "sprite-images": _sprites,
+# kind -> (generator, its parameters with their defaults). The config's
+# [source] and [target] sections hold the union of these, in this order.
+KINDS = {
+    "ring-of-gaussians": (_ring, {"components": 8, "radius": 2.0, "rotation": 0.0,
+                                  "center_x": 0.0, "center_y": 0.0, "noise_std": 0.1}),
+    "two-moons": (_two_moons, {"noise_std": 0.1, "scale": 1.5}),
+    "sprite-images": (_sprites, {"size": 16, "bar": False, "bar_row": 11,
+                                 "bar_intensity": 0.9}),
 }
 
 
@@ -85,11 +80,11 @@ def synth_domain(spec: DomainSpec, count: int, stream: RngStream | None = None) 
     sprite images (n, size, size) with values in [0, 1]."""
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    if spec.kind not in _KINDS:
+    if spec.kind not in KINDS:
         raise InvalidArgumentError(f"unknown domain kind {spec.kind!r}")
     if stream is None:
         stream = RngStream(spec.seed, f"domain/{spec.kind}")
-    return _KINDS[spec.kind](spec, count, stream)
+    return KINDS[spec.kind][0](count, stream, **dict(spec.params))
 
 
 def flatten(samples: np.ndarray) -> np.ndarray:
@@ -99,6 +94,6 @@ def flatten(samples: np.ndarray) -> np.ndarray:
 def sample_shape(spec: DomainSpec):
     """Shape of a single sample for this domain."""
     if spec.kind == "sprite-images":
-        size = int(spec.get("size", SPRITE_SIZE))
+        size = dict(spec.params)["size"]
         return (size, size)
     return (2,)

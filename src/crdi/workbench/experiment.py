@@ -84,7 +84,7 @@ def _source_net(config: ExperimentConfig, path) -> NoiseNet:
 
 def _input(out_dir, name: str) -> Path:
     path = Path(out_dir) / name
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"missing input {path}: run the stage that writes it first")
     return path
 
@@ -121,6 +121,9 @@ def load_fitted(config: ExperimentConfig, out_dir):
     schedule, net = load_source_model(config, out_dir)
     sge_path, targets_path = _input(out_dir, "sge.crds"), _input(out_dir, "targets.crdt")
     sge_set = load_sge(sge_path)
+    if sge_set.segments.shape[2] != net.d:
+        raise ConfigError(f"{sge_path} holds embeddings of width {sge_set.segments.shape[2]}; "
+                          f"the checkpoint has d={net.d}: rerun fit-sge")
     if sge_set.rmap != _rigidity_map(config):
         raise ConfigError(f"{sge_path} was fitted with {sge_set.rmap}; config has "
                           f"{_rigidity_map(config)}: rerun fit-sge")

@@ -72,6 +72,21 @@ def test_domain_validation():
         synth_domain(DomainSpec(kind="nope"), 5)
 
 
+def test_domain_spec_rejects_parameters_its_kind_does_not_take():
+    with pytest.raises(InvalidArgumentError, match="radious"):
+        DomainSpec.make("ring-of-gaussians", radious=5.0)
+    with pytest.raises(InvalidArgumentError, match="components"):
+        DomainSpec.make("two-moons", components=3)
+    with pytest.raises(InvalidArgumentError, match="unknown domain kind"):
+        DomainSpec.make("nope")
+
+
+@pytest.mark.parametrize("kind", ["ring-of-gaussians", "two-moons", "sprite-images"])
+def test_domain_spec_defaults_are_the_config_defaults(kind):
+    spec = ExperimentConfig.defaults(source__kind=kind).domain_spec("source")
+    assert DomainSpec.make(kind, seed=spec.seed) == spec
+
+
 def test_flatten_and_shapes():
     spec = DomainSpec.make("sprite-images", size=16)
     assert sample_shape(spec) == (16, 16)
@@ -132,7 +147,11 @@ def test_config_fraction_validation():
     (dict(sge__eta=0), "sge.eta must be >= 1"),
     (dict(inference__steps=1), "inference.steps"),
     (dict(schedule__T=60, inference__steps=62), "inference.steps"),
-], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high"])
+    (dict(train__hidden="abc"), "train.hidden"),
+    (dict(train__hidden="8;8"), "train.hidden"),
+    (dict(train__hidden="0,8"), "train.hidden"),
+], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
+        "hidden-abc", "hidden-semicolon", "hidden-zero"])
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
@@ -142,6 +161,11 @@ def test_config_bounds_accept_edges():
     ExperimentConfig.defaults(run__count=2, run__eval_count=2, train__batch=1, sge__eta=1,
                               schedule__T=60, inference__steps=61)
     ExperimentConfig.defaults(inference__steps=2)
+
+
+def test_hidden_widths_parse_positive_integers():
+    assert ExperimentConfig.defaults(train__hidden="").hidden_widths() == []
+    assert ExperimentConfig.defaults(train__hidden=" 8, 16 ").hidden_widths() == [8, 16]
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -168,6 +192,32 @@ def test_config_string_keys_take_known_values_only(param, good, bad):
     ExperimentConfig.defaults(**{key: good})
     with pytest.raises(ConfigError, match=f"unknown .*{bad!r} for {param}"):
         ExperimentConfig.defaults(**{key: bad})
+
+
+@pytest.mark.parametrize("overrides", [dict(schedule__T=400.0), dict(run__k="3"),
+                                       dict(target__bar=1), dict(sge__lr=None)],
+                         ids=["float-for-int", "str-for-int", "int-for-bool", "none"])
+def test_defaults_type_check_overrides(overrides):
+    with pytest.raises(ConfigError, match="type mismatch"):
+        ExperimentConfig.defaults(**overrides)
+
+
+def test_from_dict_rejects_unknown_sections_and_keys():
+    with pytest.raises(ConfigError, match="unknown key run.bogus"):
+        ExperimentConfig.from_dict({"run": {"bogus": 1}})
+    with pytest.raises(ConfigError, match="unknown section"):
+        ExperimentConfig.from_dict({"nope": {}})
+
+
+def test_from_dict_fills_schema_defaults():
+    assert ExperimentConfig.from_dict({}).values == ExperimentConfig.defaults().values
+
+
+def test_int_override_hashes_as_its_written_config(tmp_path):
+    cfg = ExperimentConfig.defaults(perturb__s=0)
+    assert type(cfg["perturb"]["s"]) is float
+    cfg.write(tmp_path / "config.toml")
+    assert ExperimentConfig.from_file(tmp_path / "config.toml").hash() == cfg.hash()
 
 
 def test_readme_config_block_parses_to_the_defaults():
@@ -592,6 +642,57 @@ def test_cli_generate_rejects_targets_not_matching_sge(tmp_path):
     assert res.exit_code == 2, res.output
     assert "targets.crdt" in res.output and "(3, 2)" in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_directory_in_place_of_staged_input_exits_2(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    (out / "sge.crds").unlink()
+    (out / "sge.crds").mkdir()
+    res = _cli("generate", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "sge.crds" in res.output and "Traceback" not in res.output
+
+
+def test_cli_config_directory_exits_2(tmp_path):
+    res = _cli("report", "--config", tmp_path, "--out", tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output and "Traceback" not in res.output
+
+
+def test_cli_checkpoint_directory_exits_2(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    ckpt_dir = tmp_path / "model.crdn"
+    ckpt_dir.mkdir()
+    text = cfg_path.read_text().replace('checkpoint = ""', f'checkpoint = "{ckpt_dir}"')
+    cfg_path.write_text(text)
+    res = _cli("fit-sge", "--config", cfg_path, "--out", tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert str(ckpt_dir) in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("cmd", [["generate"], ["reconstruct", "--sample", "0"]],
+                         ids=["generate", "reconstruct"])
+def test_cli_rejects_sge_width_not_matching_checkpoint(tmp_path, cmd):
+    from crdi.sge import SgeSet, load_sge, save_sge
+
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    save_sge(out / "sge.crds", SgeSet.zeros(3, 5, load_sge(out / "sge.crds").rmap))
+    res = _cli(*cmd, "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "sge.crds" in res.output and "width 5" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_cli_report_rejects_bad_hidden_before_any_stage(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace('hidden = "24,24"', 'hidden = "8;8"'))
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "train.hidden" in res.output and "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
