@@ -130,8 +130,6 @@ class TrainConfig:
     steps: int = 4000
     batch: int = 128
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
 
 
 def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
@@ -172,8 +170,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
         trace[step] = loss
         upstream = 2.0 * resid / resid.size
         grads, _ = mlp_backward(net.backbone, inp, upstream, tape=tape)
-        params, state = adam_step(params, grads, state, config.lr,
-                                  config.beta1, config.beta2)
+        params, state = adam_step(params, grads, state, config.lr)
         for i in range(len(net.backbone.weights)):
             net.backbone.weights[i] = params[2 * i]
             net.backbone.biases[i] = params[2 * i + 1]

@@ -9,6 +9,13 @@ class InvalidArgumentError(CrdiError, ValueError):
     """A precondition on an argument was violated."""
 
 
+def check_choice(what: str, value, allowed: tuple):
+    """InvalidArgumentError unless value is one of the allowed strings."""
+    if value not in allowed:
+        raise InvalidArgumentError(f"unknown {what} {value!r}; "
+                                   f"expected one of {', '.join(allowed)}")
+
+
 class ShapeError(CrdiError, ValueError):
     """Array shapes are incompatible for the requested operation."""
 

@@ -7,11 +7,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError, ShapeError
+from .errors import InvalidArgumentError, ShapeError, check_choice
 from .numerics import RngStream, gaussian
 
-_K1, _K2 = 0.01, 0.03
+# SSIM's stabilising constants (K1 L)^2 and (K2 L)^2 for the dynamic range L = 1
+_C1, _C2 = 0.01 ** 2, 0.03 ** 2
 _WINDOW, _SIGMA = 11, 1.5
+
+FEATURES = ("identity", "pixels", "random-projection")
+DIRECTIONS = ("per-target", "per-generated")
+
+_NOTE = "feature extractors are desk-scale substitutes; values are internally comparable only"
 
 
 @dataclass(frozen=True)
@@ -26,16 +32,17 @@ class FeatureExtractor:
     dim: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        check_choice("feature kind", self.kind, FEATURES)
+
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         x = np.asarray(samples, dtype=np.float64)
         flat = x.reshape(x.shape[0], -1)
-        if self.kind in ("identity", "pixels"):
+        if self.kind != "random-projection":
             return flat
-        if self.kind == "random-projection":
-            proj = gaussian(RngStream(self.seed, "feature-projection"),
-                            (flat.shape[1], self.dim)) / np.sqrt(flat.shape[1])
-            return flat @ proj
-        raise InvalidArgumentError(f"unknown feature kind {self.kind!r}")
+        proj = gaussian(RngStream(self.seed, "feature-projection"),
+                        (flat.shape[1], self.dim)) / np.sqrt(flat.shape[1])
+        return flat @ proj
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -45,23 +52,20 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return k2 / k2.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, L: float = 1.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Structural similarity; global statistics below 16px, otherwise an
     11-wide Gaussian-windowed local map averaged over the image."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if L <= 0:
-        raise InvalidArgumentError("dynamic range L must be > 0")
-    c1, c2 = (_K1 * L) ** 2, (_K2 * L) ** 2
 
     if a.ndim == 1 or min(a.shape) < 16:
         mu_a, mu_b = a.mean(), b.mean()
         va, vb = a.var(), b.var()
         cov = ((a - mu_a) * (b - mu_b)).mean()
-        return float(((2 * mu_a * mu_b + c1) * (2 * cov + c2)) /
-                     ((mu_a ** 2 + mu_b ** 2 + c1) * (va + vb + c2)))
+        return float(((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) /
+                     ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2)))
 
     kern = _gaussian_kernel(_WINDOW, _SIGMA)
     wa = sliding_window_view(a, (_WINDOW, _WINDOW))
@@ -73,18 +77,18 @@ def ssim(a: np.ndarray, b: np.ndarray, L: float = 1.0) -> float:
     eab = np.tensordot(wa * wb, kern, axes=((2, 3), (0, 1)))
     va, vb = ea - mu_a ** 2, eb - mu_b ** 2
     cov = eab - mu_a * mu_b
-    local = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
-            ((mu_a ** 2 + mu_b ** 2 + c1) * (va + vb + c2))
+    local = ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / \
+            ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2))
     return float(local.mean())
 
 
-def mc_ssim(generated, targets, n: int, L: float = 1.0,
-            direction: str = "per-target") -> float:
+def mc_ssim(generated, targets, n: int, direction: str = "per-target") -> float:
     """Mode-coverage SSIM: mean of the top-n match scores.
 
     "per-target" averages, for each target, its n best matches among the
     generated set; "per-generated" swaps the roles.
     """
+    check_choice("direction", direction, DIRECTIONS)
     generated = [np.asarray(g, dtype=np.float64) for g in generated]
     targets = [np.asarray(t, dtype=np.float64) for t in targets]
     if not generated or not targets:
@@ -95,7 +99,7 @@ def mc_ssim(generated, targets, n: int, L: float = 1.0,
         raise InvalidArgumentError(f"n={n} outside [1, {len(pool)}]")
     scores = []
     for y in anchors:
-        vals = sorted((ssim(g, y, L) for g in pool), reverse=True)
+        vals = sorted((ssim(g, y) for g in pool), reverse=True)
         scores.append(float(np.mean(vals[:n])))
     return float(np.mean(scores))
 
@@ -132,7 +136,7 @@ def frechet(features_a: np.ndarray, features_b: np.ndarray) -> float:
 
 
 def intra_diversity(generated, targets, extractor: FeatureExtractor,
-                    images: bool = False, L: float = 1.0):
+                    images: bool = False):
     """Mean pairwise distance of unit-normalized features inside each
     target-assigned cluster, averaged over non-empty clusters.
 
@@ -145,7 +149,7 @@ def intra_diversity(generated, targets, extractor: FeatureExtractor,
         raise InvalidArgumentError("need >= 1 target and >= 2 generated samples")
 
     if images:
-        assign = np.array([int(np.argmax([ssim(g, y, L) for y in targets]))
+        assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
                            for g in generated])
     else:
         feat_g = extractor(generated)
@@ -184,12 +188,10 @@ class MetricsReport:
     degenerate_clusters: bool = False
     config: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    note: str = ("feature extractors are desk-scale substitutes; values are "
-                 "internally comparable only")
 
     def to_dict(self) -> dict:
         return {
-            "note": self.note,
+            "note": _NOTE,
             "ssim_per_pair": self.ssim_per_pair,
             "mc_ssim": self.mc_ssim,
             "frechet": self.frechet,

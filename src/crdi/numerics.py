@@ -200,8 +200,11 @@ class AdamState:
         return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+# Adam's moment decay rates and denominator guard (Kingma & Ba's values).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state: AdamState, lr: float):
     """One Adam update. Mutates nothing; returns (new_params, new_state)."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state length mismatch")
@@ -212,11 +215,11 @@ def adam_step(params, grads, state: AdamState, lr: float,
             raise ShapeError(f"gradient shape mismatch at index {i}")
     t = state.t + 1
     new_p, new_m, new_v = [], [], []
-    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        p = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        p = p - lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
         new_p.append(p)
         new_m.append(m)
         new_v.append(v)

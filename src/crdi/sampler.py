@@ -7,11 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseNet, ddim_step, noise_to
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_choice
 from .numerics import RngStream, gaussian
 from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
                         RigidityMap, gamma, segment_for)
 from .sge import SgeSet, guided_noise
+
+GUIDANCE = ("per-sample", "mean")
+STARTS = ("noised", "prior")
 
 
 @dataclass
@@ -19,18 +22,21 @@ class GenerationRequest:
     """One generation task.
 
     ``guidance`` selects per-sample embeddings (uniform random choice per
-    output) or the set-wise mean; ``start`` is "prior" or "noised".
+    output) or the set-wise mean; ``start`` is "noised" (a target noised
+    to the annealing start) or "prior" (pure noise at the plan's top).
     """
 
-    guidance: str = "per-sample"      # "per-sample" | "mean"
-    start: str = "noised"             # "prior" | "noised"
+    perturb: PerturbationSchedule
+    plan: InferencePlan
+    stream: RngStream
+    guidance: str = "per-sample"
+    start: str = "noised"
     start_sample: int | None = None   # forced reference sample for "noised"
-    perturb: PerturbationSchedule | None = None
-    plan: InferencePlan | None = None
     count: int = 1
-    stream: RngStream | None = None
 
     def __post_init__(self):
+        check_choice("guidance", self.guidance, GUIDANCE)
+        check_choice("start", self.start, STARTS)
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
 
@@ -53,16 +59,27 @@ def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
     return g + sched.s * np.sqrt(1.0 - gm) * eps
 
 
-def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
-               rmap: RigidityMap, x: np.ndarray, t_start: int, plan: InferencePlan,
-               sched: PerturbationSchedule, stream: RngStream) -> np.ndarray:
-    """One reverse chain from x at plan step t_start down to 0, guided by
-    the (eta, d) segments."""
-    if not net.frozen:
-        raise InvalidArgumentError("generation requires a frozen net")
+def start_step(plan: InferencePlan, rmap: RigidityMap, start: str, alpha_t: int) -> int:
+    """The plan step a chain starts from: for a "noised" start the highest
+    plan step at or below the annealing start alpha_t, for "prior" the plan's
+    top. It must leave a step to run and lie inside the guidance window."""
+    t = alpha_t if start == "noised" else plan.tau[-1]
+    t_start = int(max(s for s in plan.tau if s <= t))
+    if t_start < 1:
+        raise InvalidArgumentError("annealing start below the first inference step")
     if rmap.t_hi < t_start:
         raise InvalidArgumentError(
             f"guidance window top {rmap.t_hi} below start step {t_start}")
+    return t_start
+
+
+def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
+               rmap: RigidityMap, x: np.ndarray, t_start: int, plan: InferencePlan,
+               sched: PerturbationSchedule, stream: RngStream) -> np.ndarray:
+    """One reverse chain from x at plan step t_start, as ``start_step`` gives
+    it, down to 0, guided by the (eta, d) segments."""
+    if not net.frozen:
+        raise InvalidArgumentError("generation requires a frozen net")
     for t, t_prev in plan.steps_down():
         if t > t_start:
             continue
@@ -73,19 +90,9 @@ def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
     return x
 
 
-def _start_step(plan: InferencePlan, t: int) -> int:
-    """The highest plan step at or below t, which must leave a step to run."""
-    t_start = int(max(s for s in plan.tau if s <= t))
-    if t_start < 1:
-        raise InvalidArgumentError("annealing start below the first inference step")
-    return t_start
-
-
 def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
              request: GenerationRequest) -> np.ndarray:
     """Run `count` independent guided reverse chains; returns (count, d)."""
-    if request.plan is None or request.perturb is None or request.stream is None:
-        raise InvalidArgumentError("request needs plan, perturb schedule and stream")
     sched = request.perturb
     plan = request.plan
     n = len(sge_set)
@@ -93,7 +100,7 @@ def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
         raise InvalidArgumentError(f"unknown sample id {request.start_sample}")
     if request.start == "noised" and sge_set.targets is None:
         raise InvalidArgumentError("noised start requires targets on the SgeSet")
-    t_start = _start_step(plan, sched.alpha_t if request.start == "noised" else plan.tau[-1])
+    t_start = start_step(plan, sge_set.rmap, request.start, sched.alpha_t)
 
     mean = sge_set.mean_segments if request.guidance == "mean" else None
     out = np.zeros((request.count, net.d))
@@ -114,22 +121,19 @@ def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
 
 
 def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
-                sample_id: int, stream: RngStream,
-                plan: InferencePlan | None = None,
-                alpha_t: int | None = None) -> np.ndarray:
+                sample_id: int, stream: RngStream, plan: InferencePlan,
+                alpha_t: int) -> np.ndarray:
     """Deterministic reconstruction of one fitted target (s = 0).
 
     The chain starts from the target noised to the highest plan step at or
-    below `alpha_t` (default: the full depth T), with noise drawn from
-    ``stream.child("out0")``, and is fully guided on every step.
+    below `alpha_t`, with noise drawn from ``stream.child("out0")``, and is
+    fully guided on every step.
     """
     if not (0 <= sample_id < len(sge_set)):
         raise InvalidArgumentError(f"unknown sample id {sample_id}")
-    if plan is None:
-        raise InvalidArgumentError("reconstruct needs an inference plan")
     if sge_set.targets is None:
         raise InvalidArgumentError("reconstruct requires targets on the SgeSet")
-    t_start = _start_step(plan, schedule.T if alpha_t is None else alpha_t)
+    t_start = start_step(plan, sge_set.rmap, "noised", alpha_t)
     # beta_t = t_start keeps gamma = 1, and so the fitted guidance, on every step
     sched = PerturbationSchedule(alpha_t=t_start + 1, beta_t=t_start, s=0.0)
     st = stream.child("out0")

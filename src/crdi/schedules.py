@@ -60,7 +60,7 @@ class InferencePlan:
         return list(zip(self.tau[:0:-1], self.tau[-2::-1]))
 
 
-def make_plan(schedule: NoiseSchedule, steps: int = 25) -> InferencePlan:
+def make_plan(schedule: NoiseSchedule, steps: int) -> InferencePlan:
     """Evenly spaced tau of the given length covering [0, T]."""
     if steps < 2 or steps > schedule.T + 1:
         raise InvalidArgumentError(f"steps must be in [2, T+1], got {steps}")

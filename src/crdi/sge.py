@@ -16,12 +16,15 @@ import numpy as np
 
 from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to
-from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
+from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
 from .numerics import AdamState, RngStream, adam_step, gaussian
 from .schedules import NoiseSchedule, RigidityMap, segment_for
 
 _SGE_MAGIC = b"CRDS"
 _SGE_VERSION = 1
+
+# "coupled" draws one noise for both forward targets of a draw; "independent" two.
+COUPLINGS = ("coupled", "independent")
 
 
 _Member = namedtuple("_Member", "segments meta")
@@ -85,10 +88,13 @@ def guided_noise(net: NoiseNet, schedule: NoiseSchedule, x_t: np.ndarray,
 
 @dataclass
 class SgeFitConfig:
+    lam: float = 1.0
     lr: float = 1e-2
     iterations: int = 2000
-    lam: float = 1.0
-    coupling: str = "coupled"     # or "independent"
+    coupling: str = "coupled"
+
+    def __post_init__(self):
+        check_choice("coupling", self.coupling, COUPLINGS)
 
 
 def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,

@@ -3,26 +3,33 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..diffusion import MAX_T
-from ..errors import ConfigError
-from .domains import KINDS, DomainSpec
+from ..diffusion import MAX_T, TrainConfig
+from ..errors import ConfigError, InvalidArgumentError
+from ..metrics import DIRECTIONS, FEATURES
+from ..sampler import GUIDANCE, STARTS, start_step
+from ..schedules import (NoiseSchedule, PerturbationSchedule, RigidityMap,
+                         linear_schedule, make_plan)
+from ..sge import COUPLINGS, SgeFitConfig
+from .domains import KINDS, DomainSpec, typed_like
 
 # A domain section: its kind, then every parameter any kind takes.
 _DOMAIN = {"kind": "ring-of-gaussians",
            **{key: val for _, params in KINDS.values() for key, val in params.items()}}
 
+# The train and fit keys and defaults are the fields of the stage configs;
+# their field order is the key order config.toml is written in.
+_TRAIN, _FIT = asdict(TrainConfig()), asdict(SgeFitConfig())
+
 # section -> key -> default; each value must have its default's type.
 _SCHEMA = {
     "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
     "inference": {"steps": 25},
-    "sge": {"eta": 8, "window_lo_frac": 0.0, "window_hi_frac": 1.0,
-            "lam": 1.0, "lr": 0.01, "iterations": 2000, "coupling": "coupled"},
+    "sge": {"eta": 8, "window_lo_frac": 0.0, "window_hi_frac": 1.0, **_FIT},
     "perturb": {"alpha_frac": 1.0, "beta_frac": 0.6, "s": 0.1},
-    "train": {"steps": 4000, "batch": 128, "lr": 1e-3, "hidden": "64,64",
-              "checkpoint": ""},
+    "train": {**_TRAIN, "hidden": "64,64", "checkpoint": ""},
     "source": _DOMAIN,
     "target": {**_DOMAIN, "radius": 1.8, "rotation": 0.2, "center_x": 0.7,
                "center_y": 0.5, "bar": True},
@@ -35,11 +42,11 @@ _SCHEMA = {
 # Keys whose string value must be one of a fixed set; the code branches on them.
 _CHOICES = {
     "run.ablation": ("none", "no-sge", "no-perturbation"),
-    "run.guidance": ("per-sample", "mean"),
-    "run.start": ("noised", "prior"),
-    "sge.coupling": ("coupled", "independent"),
-    "metrics.direction": ("per-target", "per-generated"),
-    "metrics.feature": ("identity", "pixels", "random-projection"),
+    "run.guidance": GUIDANCE,
+    "run.start": STARTS,
+    "sge.coupling": COUPLINGS,
+    "metrics.direction": DIRECTIONS,
+    "metrics.feature": FEATURES,
     "source.kind": tuple(KINDS),
     "target.kind": tuple(KINDS),
 }
@@ -79,6 +86,7 @@ def parse_config_text(text: str) -> dict:
     """
     values = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
     section = None
+    seen = set()   # sections, and (section, key) pairs, given so far
     for lineno, line in enumerate(text.splitlines(), 1):
         line = _strip_comment(line).strip()
         if not line:
@@ -87,6 +95,9 @@ def parse_config_text(text: str) -> dict:
             section = line[1:-1].strip()
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}] at line {lineno}")
+            if section in seen:
+                raise ConfigError(f"repeated section [{section}] at line {lineno}")
+            seen.add(section)
             continue
         if "=" not in line or section is None:
             raise ConfigError(f"malformed line {lineno}: {line!r}")
@@ -94,6 +105,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {section}.{key} at line {lineno}")
+        if (section, key) in seen:
+            raise ConfigError(f"repeated key {section}.{key} at line {lineno}")
+        seen.add((section, key))
         val = _parse_value(raw, f"{section}.{key}")
         values[section][key] = _typed(section, key, val, f" at line {lineno}")
     return values
@@ -101,14 +115,10 @@ def parse_config_text(text: str) -> dict:
 
 def _typed(section: str, key: str, val, where: str = ""):
     """val checked against the schema default's type; ints promote to float."""
-    default = _SCHEMA[section][key]
-    if isinstance(default, bool) != isinstance(val, bool):
-        raise ConfigError(f"type mismatch for {section}.{key}{where}")
-    if isinstance(default, float) and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if type(val) is not type(default):
-        raise ConfigError(f"type mismatch for {section}.{key}{where}")
-    return val
+    try:
+        return typed_like(_SCHEMA[section][key], val)
+    except TypeError:
+        raise ConfigError(f"type mismatch for {section}.{key}{where}") from None
 
 
 def _schema_key(param: str):
@@ -176,8 +186,6 @@ class ExperimentConfig:
                              ("perturb", "alpha_frac"), ("perturb", "beta_frac")):
             if not 0.0 <= v[section][key] <= 1.0:
                 raise ConfigError(f"{section}.{key} must be in [0, 1]")
-        if v["perturb"]["beta_frac"] >= v["perturb"]["alpha_frac"]:
-            raise ConfigError("perturb.beta_frac must be < perturb.alpha_frac")
         for param, low in (("run.k", 1), ("run.count", 2), ("run.eval_count", 2),
                            ("train.steps", 1), ("train.batch", 1), ("sge.eta", 1)):
             section, key = param.split(".")
@@ -185,8 +193,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{param} must be >= {low}")
         if not 2 <= v["schedule"]["T"] <= MAX_T:
             raise ConfigError(f"schedule.T must be in [2, {MAX_T}]")
-        if not 2 <= v["inference"]["steps"] <= v["schedule"]["T"] + 1:
-            raise ConfigError("inference.steps must be in [2, schedule.T + 1]")
         for param, allowed in _CHOICES.items():
             section, key = param.split(".")
             if v[section][key] not in allowed:
@@ -199,6 +205,39 @@ class ExperimentConfig:
         ckpt = v["train"]["checkpoint"]
         if ckpt and not Path(ckpt).is_file():
             raise ConfigError(f"checkpoint {ckpt} does not exist or is not a file")
+        # The stage objects, built as the stages build them, so that a rule
+        # they hold fails here and not after training and fitting.
+        schedule = _built("schedule", self.schedule)
+        plan = _built("inference.steps", make_plan, schedule, v["inference"]["steps"])
+        perturb = _built("perturb", self.perturb_schedule)
+        rmap = self.rigidity_map()
+        # generate starts at run.start; evaluate reconstructs image targets
+        # from the noised start
+        for start in [v["run"]["start"]] + ["noised"] * (tgt.kind == "sprite-images"):
+            _built(f"run.start = {start!r}", start_step, plan, rmap, start, perturb.alpha_t)
+
+    def schedule(self) -> NoiseSchedule:
+        sec = self.values["schedule"]
+        return linear_schedule(sec["T"], sec["beta_start"], sec["beta_end"])
+
+    def rigidity_map(self) -> RigidityMap:
+        T, sec = self.values["schedule"]["T"], self.values["sge"]
+        t_lo = int(round(sec["window_lo_frac"] * T))
+        t_hi = int(round(sec["window_hi_frac"] * T))
+        return RigidityMap(eta=sec["eta"], t_lo=t_lo, t_hi=max(t_hi, t_lo + 1))
+
+    def perturb_schedule(self) -> PerturbationSchedule:
+        """The annealing window in steps; s = 0 under the no-perturbation ablation."""
+        T, sec = self.values["schedule"]["T"], self.values["perturb"]
+        s = 0.0 if self.values["run"]["ablation"] == "no-perturbation" else sec["s"]
+        return PerturbationSchedule(alpha_t=int(round(sec["alpha_frac"] * T)),
+                                    beta_t=int(round(sec["beta_frac"] * T)), s=s)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{key: self.values["train"][key] for key in _TRAIN})
+
+    def fit_config(self) -> SgeFitConfig:
+        return SgeFitConfig(**{key: self.values["sge"][key] for key in _FIT})
 
     def domain_spec(self, side: str) -> DomainSpec:
         sec = self.values[side]
@@ -231,3 +270,11 @@ class ExperimentConfig:
                     lines.append(f"{key} = {val}")
             lines.append("")
         Path(path).write_text("\n".join(lines))
+
+
+def _built(what: str, build, *args):
+    """build(*args), with an InvalidArgumentError it raises as a ConfigError."""
+    try:
+        return build(*args)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{what}: {exc}") from None

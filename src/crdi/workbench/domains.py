@@ -27,7 +27,22 @@ class DomainSpec:
         if unknown:
             raise InvalidArgumentError(f"domain kind {kind!r} takes no parameter "
                                        f"{', '.join(unknown)}; it takes {', '.join(defaults)}")
+        for key, val in params.items():
+            try:
+                params[key] = typed_like(defaults[key], val)
+            except TypeError as exc:
+                raise InvalidArgumentError(f"{kind} parameter {key} {exc}") from None
         return cls(kind=kind, params=tuple(sorted({**defaults, **params}.items())), seed=seed)
+
+
+def typed_like(default, val):
+    """val if it has the type of default, an int promoted to float where the
+    default is a float; TypeError otherwise. bool is not an int here."""
+    if isinstance(default, float) and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if type(val) is not type(default):
+        raise TypeError(f"must be of type {type(default).__name__}, got {val!r}")
+    return val
 
 
 def _ring(count, stream, *, components, radius, rotation, center_x, center_y, noise_std):

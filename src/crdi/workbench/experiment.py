@@ -12,16 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..diffusion import (NoiseNet, TrainConfig, load_checkpoint, save_checkpoint,
-                         train_source)
+from ..diffusion import NoiseNet, load_checkpoint, save_checkpoint, train_source
 from ..errors import ConfigError
 from ..metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
                        mc_ssim, ssim)
 from ..numerics import RngStream
 from ..sampler import GenerationRequest, generate, reconstruct
-from ..schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
-                         make_plan)
-from ..sge import SgeFitConfig, SgeSet, fit_sge, load_sge, save_sge
+from ..schedules import make_plan
+from ..sge import SgeSet, fit_sge, load_sge, save_sge
 from .config import ExperimentConfig
 from .domains import flatten, sample_shape, synth_domain
 from .tensor_io import read_tensor, write_grid, write_tensor
@@ -44,32 +42,10 @@ class RunManifest:
         return asdict(self)
 
 
-def _rigidity_map(config: ExperimentConfig) -> RigidityMap:
-    T = config["schedule"]["T"]
-    t_lo = int(round(config["sge"]["window_lo_frac"] * T))
-    t_hi = int(round(config["sge"]["window_hi_frac"] * T))
-    return RigidityMap(eta=config["sge"]["eta"], t_lo=t_lo, t_hi=max(t_hi, t_lo + 1))
-
-
-def _perturb_schedule(config: ExperimentConfig) -> PerturbationSchedule:
-    T = config["schedule"]["T"]
-    s = config["perturb"]["s"]
-    if config["run"]["ablation"] == "no-perturbation":
-        s = 0.0
-    alpha_t = int(round(config["perturb"]["alpha_frac"] * T))
-    beta_t = int(round(config["perturb"]["beta_frac"] * T))
-    return PerturbationSchedule(alpha_t=alpha_t, beta_t=beta_t, s=s)
-
-
 def _extractor(config: ExperimentConfig) -> FeatureExtractor:
     m = config["metrics"]
     return FeatureExtractor(kind=m["feature"], dim=m["feature_dim"],
                             seed=config["run"]["seed"])
-
-
-def _schedule(config: ExperimentConfig):
-    return linear_schedule(config["schedule"]["T"], config["schedule"]["beta_start"],
-                           config["schedule"]["beta_end"])
 
 
 def _source_net(config: ExperimentConfig, path) -> NoiseNet:
@@ -92,7 +68,7 @@ def _input(out_dir, name: str) -> Path:
 def prepare_source_model(config: ExperimentConfig, out_dir: Path):
     """Source stage: train the model from config, writing model.crdn and
     loss_trace.crdt, or load the configured checkpoint (trace None)."""
-    schedule = _schedule(config)
+    schedule = config.schedule()
     ckpt = config["train"]["checkpoint"]
     if ckpt:
         return schedule, _source_net(config, ckpt), None
@@ -102,9 +78,8 @@ def prepare_source_model(config: ExperimentConfig, out_dir: Path):
     dataset = flatten(synth_domain(src_spec, max(2000, config["train"]["batch"] * 4)))
     net = NoiseNet.init(d, schedule.T, config.hidden_widths(),
                         RngStream(seed, "init"))
-    tc = TrainConfig(steps=config["train"]["steps"], batch=config["train"]["batch"],
-                     lr=config["train"]["lr"])
-    net, trace = train_source(net, schedule, dataset, tc, RngStream(seed, "train"))
+    net, trace = train_source(net, schedule, dataset, config.train_config(),
+                              RngStream(seed, "train"))
     save_checkpoint(out_dir / "model.crdn", net)
     write_tensor(out_dir / "loss_trace.crdt", trace)
     return schedule, net, trace
@@ -113,7 +88,7 @@ def prepare_source_model(config: ExperimentConfig, out_dir: Path):
 def load_source_model(config: ExperimentConfig, out_dir):
     """Source net for a later stage: train.checkpoint if set, else out_dir/model.crdn."""
     ckpt = config["train"]["checkpoint"] or _input(out_dir, "model.crdn")
-    return _schedule(config), _source_net(config, ckpt)
+    return config.schedule(), _source_net(config, ckpt)
 
 
 def load_fitted(config: ExperimentConfig, out_dir):
@@ -124,9 +99,9 @@ def load_fitted(config: ExperimentConfig, out_dir):
     if sge_set.segments.shape[2] != net.d:
         raise ConfigError(f"{sge_path} holds embeddings of width {sge_set.segments.shape[2]}; "
                           f"the checkpoint has d={net.d}: rerun fit-sge")
-    if sge_set.rmap != _rigidity_map(config):
+    if sge_set.rmap != config.rigidity_map():
         raise ConfigError(f"{sge_path} was fitted with {sge_set.rmap}; config has "
-                          f"{_rigidity_map(config)}: rerun fit-sge")
+                          f"{config.rigidity_map()}: rerun fit-sge")
     sge_set.targets = read_tensor(targets_path)
     if sge_set.targets.shape != (len(sge_set), net.d):
         raise ConfigError(f"{targets_path} has shape {sge_set.targets.shape}, not "
@@ -142,14 +117,11 @@ def fit_stage(config: ExperimentConfig, schedule, net, out_dir: Path) -> SgeSet:
     """Fit stage: one SGE per target shot (all zero under the no-sge
     ablation); writes sge.crds and targets.crdt."""
     targets = flatten(synth_domain(config.domain_spec("target"), config["run"]["k"]))
-    rmap = _rigidity_map(config)
+    rmap = config.rigidity_map()
     if config["run"]["ablation"] == "no-sge":
         sge_set = SgeSet.zeros(*targets.shape, rmap, targets=targets)
     else:
-        fc = SgeFitConfig(lr=config["sge"]["lr"], lam=config["sge"]["lam"],
-                          iterations=config["sge"]["iterations"],
-                          coupling=config["sge"]["coupling"])
-        sge_set = fit_sge(net, schedule, targets, rmap, fc,
+        sge_set = fit_sge(net, schedule, targets, rmap, config.fit_config(),
                           RngStream(config["run"]["seed"], "fit"))
     save_sge(out_dir / "sge.crds", sge_set)
     write_tensor(out_dir / "targets.crdt", targets)
@@ -162,7 +134,7 @@ def generate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
     for image domains, a samples.pgm contact sheet."""
     run = config["run"]
     request = GenerationRequest(guidance=run["guidance"], start=run["start"],
-                                perturb=_perturb_schedule(config), plan=plan,
+                                perturb=config.perturb_schedule(), plan=plan,
                                 count=run["count"], stream=RngStream(run["seed"], "generate"))
     samples = generate(net, schedule, sge_set, request)
     write_tensor(out_dir / "samples.crdt", samples)
@@ -189,7 +161,7 @@ def reconstruct_target(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
     annealing start alpha_t as evaluate scores it."""
     return reconstruct(net, schedule, sge_set, sample_id,
                        RngStream(config["run"]["seed"], f"recon{sample_id}"),
-                       plan, alpha_t=_perturb_schedule(config).alpha_t)
+                       plan, alpha_t=config.perturb_schedule().alpha_t)
 
 
 def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path:

@@ -277,8 +277,7 @@ def _two_pass_training(net, schedule, dataset, config, stream):
         resid = mlp_forward(net.backbone, inp) - eps
         trace[step] = float(np.mean(resid * resid))
         grads, _ = mlp_backward(net.backbone, inp, 2.0 * resid / resid.size)
-        params, state = adam_step(params, grads, state, config.lr,
-                                  config.beta1, config.beta2)
+        params, state = adam_step(params, grads, state, config.lr)
         net.backbone.weights = params[0::2]
         net.backbone.biases = params[1::2]
     return net, trace

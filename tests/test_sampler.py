@@ -94,8 +94,12 @@ def test_window_must_cover_guided_steps(tiny_ring):
 
 
 def test_request_validation():
-    with pytest.raises(InvalidArgumentError):
-        GenerationRequest(count=0)
+    required = dict(perturb=PerturbationSchedule(alpha_t=50, beta_t=1, s=0.0),
+                    plan=make_plan(linear_schedule(50, 1e-4, 0.02), 5), stream=RngStream(0))
+    for bad, message in ((dict(count=0), "count"), (dict(guidance="Mean"), "guidance 'Mean'"),
+                         (dict(start="nosied"), "start 'nosied'")):
+        with pytest.raises(InvalidArgumentError, match=message):
+            GenerationRequest(**required, **bad)
 
 
 # ------------------------------------------------------------ reconstruct
@@ -152,7 +156,8 @@ def test_reconstruct_tracks_target(fitted_tiny):
 def test_reconstruct_unknown_sample(fitted_tiny):
     schedule, net, sge_set = fitted_tiny
     with pytest.raises(InvalidArgumentError):
-        reconstruct(net, schedule, sge_set, 7, RngStream(0), make_plan(schedule, 5))
+        reconstruct(net, schedule, sge_set, 7, RngStream(0), make_plan(schedule, 5),
+                    alpha_t=40)
 
 
 def test_reconstruct_guides_every_step_from_alpha_t(fitted_tiny, monkeypatch):

@@ -200,6 +200,11 @@ def test_zero_iterations_keeps_initialization(sched):
         np.testing.assert_array_equal(segments, np.zeros((3, 2)))
 
 
+def test_fit_config_rejects_unknown_coupling():
+    with pytest.raises(InvalidArgumentError, match="unknown coupling 'coupld'"):
+        SgeFitConfig(coupling="coupld")
+
+
 def test_fit_leaves_net_untouched(tiny_ring):
     schedule, net, _, _ = tiny_ring
     before = net.param_checksum()

@@ -1,6 +1,7 @@
 """Workbench: domains, config parsing, file formats, orchestration, CLI."""
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_domain_spec_rejects_parameters_its_kind_does_not_take():
         DomainSpec.make("nope")
 
 
+def test_domain_spec_checks_parameter_types():
+    with pytest.raises(InvalidArgumentError, match="components must be of type int, got 2.5"):
+        DomainSpec.make("ring-of-gaussians", components=2.5)
+    with pytest.raises(InvalidArgumentError, match="bar must be of type bool, got 1"):
+        DomainSpec.make("sprite-images", bar=1)
+    # an int promotes to float where the default is a float, as in a config
+    assert DomainSpec.make("ring-of-gaussians", radius=2) == DomainSpec.make("ring-of-gaussians")
+
+
 @pytest.mark.parametrize("kind", ["ring-of-gaussians", "two-moons", "sprite-images"])
 def test_domain_spec_defaults_are_the_config_defaults(kind):
     spec = ExperimentConfig.defaults(source__kind=kind).domain_spec("source")
@@ -123,6 +133,15 @@ def test_parse_rejects_unknown_keys():
         parse_config_text("T = 5\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[run]\nk = 3\nk = 4\n", "repeated key run.k at line 3"),
+    ("[run]\nk = 3\n[sge]\neta = 2\n[run]\nk = 5\n", r"repeated section \[run\] at line 5"),
+], ids=["key", "section"])
+def test_parse_rejects_repeated_keys_and_sections(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+
 def test_parse_type_checks():
     with pytest.raises(ConfigError, match="type mismatch"):
         parse_config_text('[schedule]\nT = "many"\n')
@@ -155,6 +174,35 @@ def test_config_fraction_validation():
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
+
+
+# Settings that each pass the per-key checks but would fail only in a later
+# stage, after training and fitting; at T = 60 and 10 inference steps the plan
+# is 0, 7, 13, 20, 27, 33, 40, 47, 53, 60.
+LATE_FAILURES = {
+    "beta-rounds-to-alpha": (dict(perturb__alpha_frac=0.5, perturb__beta_frac=0.495),
+                             "need 0 <= beta_t < alpha_t, got (30, 30)"),
+    "start-below-first-step": (dict(perturb__alpha_frac=0.05, perturb__beta_frac=0.01),
+                               "annealing start below the first inference step"),
+    "window-below-start": (dict(sge__window_hi_frac=0.5),
+                           "guidance window top 30 below start step 60"),
+    "prior-start-above-window": (dict(run__start="prior", sge__window_hi_frac=0.9,
+                                      perturb__alpha_frac=0.9),
+                                 "run.start = 'prior': guidance window top 54 below start step 60"),
+    "image-reconstruction-start": (dict(run__start="prior", perturb__alpha_frac=0.05,
+                                        perturb__beta_frac=0.01,
+                                        source__kind="sprite-images",
+                                        target__kind="sprite-images"),
+                                   "run.start = 'noised': annealing start below"),
+    "beta-range": (dict(schedule__beta_start=0.05), "need 0 < beta_start < beta_end < 1"),
+    "negative-s": (dict(perturb__s=-0.1), "noise scale s must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("overrides,message", LATE_FAILURES.values(), ids=LATE_FAILURES)
+def test_config_rejects_settings_that_fail_after_training(overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.defaults(schedule__T=60, inference__steps=10, **overrides)
 
 
 def test_config_bounds_accept_edges():
@@ -385,13 +433,17 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest_json["config_hash"] == cfg.hash()
 
 
-def test_run_experiment_failure_marker(tmp_path):
-    from crdi.workbench.experiment import run_experiment
-    # a guidance window that stops below the generation start step fails
-    # inside the generate stage and must leave a marker behind
-    cfg = _fast_config(sge__window_hi_frac=0.5)
-    with pytest.raises(InvalidArgumentError):
-        run_experiment(cfg, tmp_path / "run")
+def test_run_experiment_failure_marker(tmp_path, monkeypatch):
+    import crdi.workbench.experiment
+    from crdi.errors import NumericError
+
+    # a failure inside the generate stage must leave a marker behind
+    def failing(*args, **kwargs):
+        raise NumericError("non-finite chain")
+
+    monkeypatch.setattr(crdi.workbench.experiment, "generate", failing)
+    with pytest.raises(NumericError):
+        crdi.workbench.experiment.run_experiment(_fast_config(), tmp_path / "run")
     marker = (tmp_path / "run" / "failed").read_text()
     assert "stage: generate" in marker and "cause:" in marker
 
@@ -420,7 +472,7 @@ def test_report_cluster_rule_names_the_assignment():
     from crdi.numerics import Mlp
     from crdi.schedules import linear_schedule, make_plan
     from crdi.sge import SgeSet
-    from crdi.workbench.experiment import _rigidity_map, evaluate
+    from crdi.workbench.experiment import evaluate
 
     for kind, rule in (("sprite-images", "max-ssim-target"),
                        ("ring-of-gaussians", "nearest-target-feature")):
@@ -430,7 +482,7 @@ def test_report_cluster_rule_names_the_assignment():
         schedule = linear_schedule(60, 1e-4, 0.02)
         net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), d, 60).freeze()
         targets = flatten(synth_domain(cfg.domain_spec("target"), 2))
-        sge_set = SgeSet.zeros(2, d, _rigidity_map(cfg), targets=targets)
+        sge_set = SgeSet.zeros(2, d, cfg.rigidity_map(), targets=targets)
         samples = flatten(synth_domain(cfg.domain_spec("source"), 4))
         report = evaluate(cfg, schedule, net, sge_set, samples, make_plan(schedule, 10))
         assert report.config["cluster_rule"] == rule
@@ -738,6 +790,27 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("base,param,values,message", [
+    (dict(perturb__alpha_frac=0.5, perturb__beta_frac=0.4), "perturb.beta_frac", "0.4,0.495",
+     "beta_t < alpha_t"),
+    (dict(perturb__beta_frac=0.01), "perturb.alpha_frac", "1.0,0.05",
+     "below the first inference step"),
+    (dict(), "sge.window_hi_frac", "1.0,0.5", "guidance window top 30 below start step 60"),
+    (dict(sge__window_hi_frac=0.9, perturb__alpha_frac=0.9), "run.start", "noised,prior",
+     "guidance window top 54 below start step 60"),
+], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
+        "prior-start-above-window"])
+def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
+                                                         message):
+    _, cfg_path = _config_file(tmp_path, **base)
+    out = tmp_path / "sweep"
+    res = _cli("sweep", "--config", cfg_path, "--out", out,
+               "--param", param, "--values", values)
+    assert res.exit_code == 2, res.output
+    assert message in res.output and "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_cli_sweep_rejects_unknown_string_value_before_running(tmp_path):
