@@ -2,7 +2,7 @@
 configurable features, and intra-cluster pairwise diversity."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +34,8 @@ class FeatureExtractor:
 
     def __post_init__(self):
         check_choice("feature kind", self.kind, FEATURES)
+        if self.dim < 1:
+            raise InvalidArgumentError(f"feature dim must be >= 1, got {self.dim}")
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         x = np.asarray(samples, dtype=np.float64)
@@ -82,21 +84,28 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(local.mean())
 
 
+def check_top_n(n: int, direction: str, generated: int, targets: int):
+    """InvalidArgumentError unless n is in [1, pool size], where mc_ssim's pool
+    is the generated set for "per-target" and the targets for "per-generated"."""
+    check_choice("direction", direction, DIRECTIONS)
+    pool = generated if direction == "per-target" else targets
+    if not (1 <= n <= pool):
+        raise InvalidArgumentError(f"n={n} outside [1, {pool}]")
+
+
 def mc_ssim(generated, targets, n: int, direction: str = "per-target") -> float:
     """Mode-coverage SSIM: mean of the top-n match scores.
 
     "per-target" averages, for each target, its n best matches among the
     generated set; "per-generated" swaps the roles.
     """
-    check_choice("direction", direction, DIRECTIONS)
     generated = [np.asarray(g, dtype=np.float64) for g in generated]
     targets = [np.asarray(t, dtype=np.float64) for t in targets]
     if not generated or not targets:
         raise InvalidArgumentError("both sets must be non-empty")
+    check_top_n(n, direction, len(generated), len(targets))
     pool, anchors = (generated, targets) if direction == "per-target" \
         else (targets, generated)
-    if not (1 <= n <= len(pool)):
-        raise InvalidArgumentError(f"n={n} outside [1, {len(pool)}]")
     scores = []
     for y in anchors:
         vals = sorted((ssim(g, y) for g in pool), reverse=True)
@@ -148,16 +157,15 @@ def intra_diversity(generated, targets, extractor: FeatureExtractor,
     if targets.shape[0] < 1 or generated.shape[0] < 2:
         raise InvalidArgumentError("need >= 1 target and >= 2 generated samples")
 
+    feats = extractor(generated)
     if images:
         assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
                            for g in generated])
     else:
-        feat_g = extractor(generated)
         feat_t = extractor(targets)
-        dists = np.linalg.norm(feat_g[:, None, :] - feat_t[None, :, :], axis=-1)
+        dists = np.linalg.norm(feats[:, None, :] - feat_t[None, :, :], axis=-1)
         assign = np.argmin(dists, axis=1)
 
-    feats = extractor(generated)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     feats = feats / np.where(norms > 0, norms, 1.0)
 
@@ -190,16 +198,7 @@ class MetricsReport:
     counts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "note": _NOTE,
-            "ssim_per_pair": self.ssim_per_pair,
-            "mc_ssim": self.mc_ssim,
-            "frechet": self.frechet,
-            "intra_diversity": self.intra_diversity,
-            "degenerate_clusters": self.degenerate_clusters,
-            "config": self.config,
-            "counts": self.counts,
-        }
+        return {"note": _NOTE, **asdict(self)}
 
     def to_csv_row(self) -> dict:
         mean_ssim = float(np.mean(self.ssim_per_pair)) if self.ssim_per_pair else ""

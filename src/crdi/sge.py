@@ -131,6 +131,14 @@ def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,
     return loss, grad
 
 
+def fit_window(rmap: RigidityMap, schedule: NoiseSchedule) -> tuple:
+    """(t_lo, t_hi): the timesteps fit_sge draws from, the guided window
+    without t = 0. Its top must be a step of the schedule."""
+    if rmap.t_hi > schedule.T:
+        raise InvalidArgumentError(f"guidance window top {rmap.t_hi} above T = {schedule.T}")
+    return max(rmap.t_lo, 1), rmap.t_hi
+
+
 def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
             config: SgeFitConfig, stream: RngStream) -> SgeSet:
     """Inversion loop: per iteration and per sample, draw (t, eps), relax
@@ -145,10 +153,9 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     if d != net.d:
         raise ShapeError(f"target dim {d} != net.d {net.d}")
 
+    t_lo, t_hi = fit_window(rmap, schedule)
     segments = np.zeros((n, rmap.eta, d))
     mean = np.zeros((rmap.eta, d))   # penalty target, refreshed at epoch boundaries
-    t_lo = max(rmap.t_lo, 1)
-    t_hi = rmap.t_hi
     streams = [stream.child(f"sample{i}") for i in range(n)]
     # independent Adam moments per (sample, segment) slice
     adam = [[AdamState([np.zeros(d)], [np.zeros(d)]) for _ in range(rmap.eta)]

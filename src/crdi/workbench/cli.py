@@ -13,8 +13,7 @@ import click
 
 from ..errors import ConfigError, CrdiError, NumericError
 from .config import ExperimentConfig, parse_param_value
-from .experiment import (evaluate_stage, fit_stage, generate_stage, load_fitted,
-                         load_samples, load_source_model, prepare_source_model,
+from .experiment import (evaluate_stage, fit_stage, generate_stage, prepare_source_model,
                          reconstruct_stage, run_experiment, sweep)
 
 
@@ -57,7 +56,7 @@ def main():
 def cli_train_source(cfg, out):
     """Train the source diffusion model and write model.crdn."""
     out.mkdir(parents=True, exist_ok=True)
-    _, _, trace = prepare_source_model(cfg, out)
+    _, trace = prepare_source_model(cfg, out)
     if trace is not None:
         click.echo(f"final loss {trace[-100:].mean():.4f} -> {out / 'model.crdn'}")
 
@@ -67,7 +66,7 @@ def cli_train_source(cfg, out):
 def cli_fit_sge(cfg, out):
     """Fit per-sample guidance embeddings against the k-shot target set."""
     out.mkdir(parents=True, exist_ok=True)
-    sge_set = fit_stage(cfg, *load_source_model(cfg, out), out)
+    sge_set = fit_stage(cfg, out)
     click.echo(f"fitted {len(sge_set)} embeddings -> {out / 'sge.crds'}")
 
 
@@ -75,7 +74,7 @@ def cli_fit_sge(cfg, out):
 @common_options
 def cli_generate(cfg, out):
     """Generate diversity-enhanced samples from fitted artifacts in --out."""
-    samples = generate_stage(cfg, *load_fitted(cfg, out), out)
+    samples = generate_stage(cfg, out)
     click.echo(f"wrote {samples.shape[0]} samples -> {out / 'samples.crdt'}")
 
 
@@ -91,8 +90,7 @@ def cli_reconstruct(cfg, out, sample_id):
 @common_options
 def cli_evaluate(cfg, out):
     """Score samples.crdt in --out against fresh target draws."""
-    schedule, net, sge_set, plan = load_fitted(cfg, out)
-    report = evaluate_stage(cfg, schedule, net, sge_set, load_samples(out), plan, out)
+    report = evaluate_stage(cfg, out)
     click.echo(json.dumps(report.to_csv_row()))
 
 

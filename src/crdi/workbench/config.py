@@ -8,11 +8,11 @@ from pathlib import Path
 
 from ..diffusion import MAX_T, TrainConfig
 from ..errors import ConfigError, InvalidArgumentError
-from ..metrics import DIRECTIONS, FEATURES
+from ..metrics import DIRECTIONS, FEATURES, FeatureExtractor, check_top_n
 from ..sampler import GUIDANCE, STARTS, start_step
-from ..schedules import (NoiseSchedule, PerturbationSchedule, RigidityMap,
+from ..schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule, RigidityMap,
                          linear_schedule, make_plan)
-from ..sge import COUPLINGS, SgeFitConfig
+from ..sge import COUPLINGS, SgeFitConfig, fit_window
 from .domains import KINDS, DomainSpec, typed_like
 
 # A domain section: its kind, then every parameter any kind takes.
@@ -208,17 +208,26 @@ class ExperimentConfig:
         # The stage objects, built as the stages build them, so that a rule
         # they hold fails here and not after training and fitting.
         schedule = _built("schedule", self.schedule)
-        plan = _built("inference.steps", make_plan, schedule, v["inference"]["steps"])
+        plan = _built("inference.steps", self.plan)
         perturb = _built("perturb", self.perturb_schedule)
         rmap = self.rigidity_map()
+        _built("sge.window_lo_frac", fit_window, rmap, schedule)
         # generate starts at run.start; evaluate reconstructs image targets
-        # from the noised start
-        for start in [v["run"]["start"]] + ["noised"] * (tgt.kind == "sprite-images"):
+        # from the noised start and scores them by mc_ssim
+        is_images = tgt.kind == "sprite-images"
+        for start in [v["run"]["start"]] + ["noised"] * is_images:
             _built(f"run.start = {start!r}", start_step, plan, rmap, start, perturb.alpha_t)
+        if is_images:
+            _built("metrics.n", check_top_n, v["metrics"]["n"], v["metrics"]["direction"],
+                   v["run"]["count"], v["run"]["k"])
+        _built("metrics.feature_dim", self.feature_extractor)
 
     def schedule(self) -> NoiseSchedule:
         sec = self.values["schedule"]
         return linear_schedule(sec["T"], sec["beta_start"], sec["beta_end"])
+
+    def plan(self) -> InferencePlan:
+        return make_plan(self.schedule(), self.values["inference"]["steps"])
 
     def rigidity_map(self) -> RigidityMap:
         T, sec = self.values["schedule"]["T"], self.values["sge"]
@@ -238,6 +247,11 @@ class ExperimentConfig:
 
     def fit_config(self) -> SgeFitConfig:
         return SgeFitConfig(**{key: self.values["sge"][key] for key in _FIT})
+
+    def feature_extractor(self) -> FeatureExtractor:
+        m = self.values["metrics"]
+        return FeatureExtractor(kind=m["feature"], dim=m["feature_dim"],
+                                seed=self.values["run"]["seed"])
 
     def domain_spec(self, side: str) -> DomainSpec:
         sec = self.values[side]

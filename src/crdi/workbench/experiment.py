@@ -1,6 +1,7 @@
 """Experiment orchestration: train -> fit -> generate -> evaluate, plus
-parameter sweeps over disjoint output directories. Each stage has one function,
-shared by ``run_experiment`` and the staged CLI; it writes its own artifacts."""
+parameter sweeps over disjoint output directories. Each stage is one function
+``stage(config, out_dir)``, shared by ``run_experiment`` and the staged CLI: it
+reads its inputs from the files earlier stages wrote to out_dir and writes its own."""
 from __future__ import annotations
 
 import csv
@@ -14,11 +15,9 @@ import numpy as np
 from .. import __version__
 from ..diffusion import NoiseNet, load_checkpoint, save_checkpoint, train_source
 from ..errors import ConfigError
-from ..metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
-                       mc_ssim, ssim)
+from ..metrics import MetricsReport, frechet, intra_diversity, mc_ssim, ssim
 from ..numerics import RngStream
 from ..sampler import GenerationRequest, generate, reconstruct
-from ..schedules import make_plan
 from ..sge import SgeSet, fit_sge, load_sge, save_sge
 from .config import ExperimentConfig
 from .domains import flatten, sample_shape, synth_domain
@@ -38,25 +37,6 @@ class RunManifest:
     timestamps: dict
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _extractor(config: ExperimentConfig) -> FeatureExtractor:
-    m = config["metrics"]
-    return FeatureExtractor(kind=m["feature"], dim=m["feature_dim"],
-                            seed=config["run"]["seed"])
-
-
-def _source_net(config: ExperimentConfig, path) -> NoiseNet:
-    """The checkpoint at path; its T and d must be the ones config trains."""
-    net = load_checkpoint(path)
-    T = config["schedule"]["T"]
-    d = int(np.prod(sample_shape(config.domain_spec("source"))))
-    if (net.T, net.d) != (T, d):
-        raise ConfigError(f"checkpoint {path} has T={net.T}, d={net.d}; config has T={T}, d={d}")
-    return net
-
 
 def _input(out_dir, name: str) -> Path:
     path = Path(out_dir) / name
@@ -67,33 +47,39 @@ def _input(out_dir, name: str) -> Path:
 
 def prepare_source_model(config: ExperimentConfig, out_dir: Path):
     """Source stage: train the model from config, writing model.crdn and
-    loss_trace.crdt, or load the configured checkpoint (trace None)."""
-    schedule = config.schedule()
-    ckpt = config["train"]["checkpoint"]
-    if ckpt:
-        return schedule, _source_net(config, ckpt), None
+    loss_trace.crdt, or load the configured checkpoint (trace None).
+    Returns (net, trace)."""
+    if config["train"]["checkpoint"]:
+        return load_source_model(config, out_dir), None
     seed = config["run"]["seed"]
     src_spec = config.domain_spec("source")
     d = int(np.prod(sample_shape(src_spec)))
     dataset = flatten(synth_domain(src_spec, max(2000, config["train"]["batch"] * 4)))
+    schedule = config.schedule()
     net = NoiseNet.init(d, schedule.T, config.hidden_widths(),
                         RngStream(seed, "init"))
     net, trace = train_source(net, schedule, dataset, config.train_config(),
                               RngStream(seed, "train"))
     save_checkpoint(out_dir / "model.crdn", net)
     write_tensor(out_dir / "loss_trace.crdt", trace)
-    return schedule, net, trace
+    return net, trace
 
 
-def load_source_model(config: ExperimentConfig, out_dir):
-    """Source net for a later stage: train.checkpoint if set, else out_dir/model.crdn."""
-    ckpt = config["train"]["checkpoint"] or _input(out_dir, "model.crdn")
-    return config.schedule(), _source_net(config, ckpt)
+def load_source_model(config: ExperimentConfig, out_dir) -> NoiseNet:
+    """Source net for a later stage: train.checkpoint if set, else
+    out_dir/model.crdn; its T and d must be the ones config trains."""
+    path = config["train"]["checkpoint"] or _input(out_dir, "model.crdn")
+    net = load_checkpoint(path)
+    T = config["schedule"]["T"]
+    d = int(np.prod(sample_shape(config.domain_spec("source"))))
+    if (net.T, net.d) != (T, d):
+        raise ConfigError(f"checkpoint {path} has T={net.T}, d={net.d}; config has T={T}, d={d}")
+    return net
 
 
 def load_fitted(config: ExperimentConfig, out_dir):
-    """Inputs of the stages after fit-sge: schedule, net, SgeSet with targets, plan."""
-    schedule, net = load_source_model(config, out_dir)
+    """Inputs of the stages after fit-sge: the net and the SgeSet with its targets."""
+    net = load_source_model(config, out_dir)
     sge_path, targets_path = _input(out_dir, "sge.crds"), _input(out_dir, "targets.crdt")
     sge_set = load_sge(sge_path)
     if sge_set.segments.shape[2] != net.d:
@@ -106,37 +92,34 @@ def load_fitted(config: ExperimentConfig, out_dir):
     if sge_set.targets.shape != (len(sge_set), net.d):
         raise ConfigError(f"{targets_path} has shape {sge_set.targets.shape}, not "
                           f"({len(sge_set)}, {net.d}) for the embeddings in {sge_path}")
-    return schedule, net, sge_set, make_plan(schedule, config["inference"]["steps"])
+    return net, sge_set
 
 
-def load_samples(out_dir) -> np.ndarray:
-    return read_tensor(_input(out_dir, "samples.crdt"))
-
-
-def fit_stage(config: ExperimentConfig, schedule, net, out_dir: Path) -> SgeSet:
+def fit_stage(config: ExperimentConfig, out_dir: Path) -> SgeSet:
     """Fit stage: one SGE per target shot (all zero under the no-sge
     ablation); writes sge.crds and targets.crdt."""
+    net = load_source_model(config, out_dir)
     targets = flatten(synth_domain(config.domain_spec("target"), config["run"]["k"]))
     rmap = config.rigidity_map()
     if config["run"]["ablation"] == "no-sge":
         sge_set = SgeSet.zeros(*targets.shape, rmap, targets=targets)
     else:
-        sge_set = fit_sge(net, schedule, targets, rmap, config.fit_config(),
+        sge_set = fit_sge(net, config.schedule(), targets, rmap, config.fit_config(),
                           RngStream(config["run"]["seed"], "fit"))
     save_sge(out_dir / "sge.crds", sge_set)
     write_tensor(out_dir / "targets.crdt", targets)
     return sge_set
 
 
-def generate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
-                   plan, out_dir: Path) -> np.ndarray:
+def generate_stage(config: ExperimentConfig, out_dir: Path) -> np.ndarray:
     """Generate stage: run.count guided samples, written to samples.crdt and,
     for image domains, a samples.pgm contact sheet."""
+    net, sge_set = load_fitted(config, out_dir)
     run = config["run"]
     request = GenerationRequest(guidance=run["guidance"], start=run["start"],
-                                perturb=config.perturb_schedule(), plan=plan,
+                                perturb=config.perturb_schedule(), plan=config.plan(),
                                 count=run["count"], stream=RngStream(run["seed"], "generate"))
-    samples = generate(net, schedule, sge_set, request)
+    samples = generate(net, config.schedule(), sge_set, request)
     write_tensor(out_dir / "samples.crdt", samples)
     tgt_spec = config.domain_spec("target")
     if tgt_spec.kind == "sprite-images":
@@ -145,23 +128,24 @@ def generate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
     return samples
 
 
-def evaluate_stage(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
-                   samples: np.ndarray, plan, out_dir: Path) -> MetricsReport:
-    """Evaluate stage: the metric battery, written to report.json and report.csv."""
-    report = evaluate(config, schedule, net, sge_set, samples, plan)
+def evaluate_stage(config: ExperimentConfig, out_dir: Path) -> MetricsReport:
+    """Evaluate stage: the metric battery on samples.crdt, written to
+    report.json and report.csv."""
+    net, sge_set = load_fitted(config, out_dir)
+    report = evaluate(config, net, sge_set, read_tensor(_input(out_dir, "samples.crdt")))
     (out_dir / "report.json").write_text(
         json.dumps({"config_hash": config.hash(), **report.to_dict()}, indent=2))
     _write_csv(out_dir / "report.csv", [{"config_hash": config.hash(), **report.to_csv_row()}])
     return report
 
 
-def reconstruct_target(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
-                       plan, sample_id: int) -> np.ndarray:
+def reconstruct_target(config: ExperimentConfig, net, sge_set: SgeSet,
+                       sample_id: int) -> np.ndarray:
     """Deterministic reconstruction of one fitted target, started at the
     annealing start alpha_t as evaluate scores it."""
-    return reconstruct(net, schedule, sge_set, sample_id,
+    return reconstruct(net, config.schedule(), sge_set, sample_id,
                        RngStream(config["run"]["seed"], f"recon{sample_id}"),
-                       plan, alpha_t=config.perturb_schedule().alpha_t)
+                       config.plan(), alpha_t=config.perturb_schedule().alpha_t)
 
 
 def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path:
@@ -173,23 +157,20 @@ def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
-    """Full pipeline for one configuration; writes all artifacts under
-    out_dir and returns the manifest."""
+    """Full pipeline for one configuration: the four stages in order, each
+    reading only the files the stages before it wrote to out_dir. Writes a
+    ``failed`` marker naming the stage that raised; returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timestamps = {"started": time.time()}
     stage = "setup"
     try:
         config.write(out_dir / "config.toml")
-        stage = "train-source"
-        schedule, net, _ = prepare_source_model(config, out_dir)
-        stage = "fit-sge"
-        sge_set = fit_stage(config, schedule, net, out_dir)
-        stage = "generate"
-        plan = make_plan(schedule, config["inference"]["steps"])
-        samples = generate_stage(config, schedule, net, sge_set, plan, out_dir)
-        stage = "evaluate"
-        evaluate_stage(config, schedule, net, sge_set, samples, plan, out_dir)
+        # looked up at each call, so that wrappers bound to these names see the calls
+        for stage, run_stage in (("train-source", prepare_source_model),
+                                 ("fit-sge", fit_stage), ("generate", generate_stage),
+                                 ("evaluate", evaluate_stage)):
+            run_stage(config, out_dir)
     except Exception as exc:
         (out_dir / "failed").write_text(f"stage: {stage}\ncause: {exc}\n")
         raise
@@ -197,18 +178,18 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     artifacts = {key: str(out_dir / name) for key, name in _ARTIFACTS.items()
                  if (out_dir / name).exists()}
     manifest = RunManifest(config.hash(), artifacts, timestamps)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2))
+    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2))
     return manifest
 
 
-def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
-             samples: np.ndarray, plan) -> MetricsReport:
+def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
+             samples: np.ndarray) -> MetricsReport:
     """Metric battery for one generated set."""
     tgt_spec = config.domain_spec("target")
     is_images = tgt_spec.kind == "sprite-images"
     eval_targets = flatten(synth_domain(tgt_spec, config["run"]["eval_count"],
                                         RngStream(config["run"]["seed"], "eval-targets")))
-    extractor = _extractor(config)
+    extractor = config.feature_extractor()
     targets = sge_set.targets
     # One row per sample, each in its domain shape (a view of the flat rows).
     gen, tgt = (a.reshape(-1, *sample_shape(tgt_spec)) for a in (samples, targets))
@@ -216,8 +197,7 @@ def evaluate(config: ExperimentConfig, schedule, net, sge_set: SgeSet,
     ssim_pairs = []
     mc = None
     if is_images:
-        recon = [reconstruct_target(config, schedule, net, sge_set, plan, i)
-                 for i in range(len(sge_set))]
+        recon = [reconstruct_target(config, net, sge_set, i) for i in range(len(sge_set))]
         ssim_pairs = [ssim(r.reshape(t.shape), t) for r, t in zip(recon, tgt)]
         mc = mc_ssim(gen, tgt, n=config["metrics"]["n"],
                      direction=config["metrics"]["direction"])

@@ -37,8 +37,8 @@ def ring_model(tmp_path_factory):
         schedule__T=400, train__steps=2500, train__batch=128,
         train__hidden="96,96")
     out = tmp_path_factory.mktemp("ring-model")
-    schedule, net, _ = prepare_source_model(cfg, out)
-    return schedule, net, str(out / "model.crdn")
+    net, _ = prepare_source_model(cfg, out)
+    return cfg.schedule(), net, str(out / "model.crdn")
 
 
 @pytest.fixture(scope="session")
@@ -52,5 +52,5 @@ def sprite_model(tmp_path_factory):
         train__hidden="256,256", train__lr=8e-4,
         source__kind="sprite-images", target__kind="sprite-images")
     out = tmp_path_factory.mktemp("sprite-model")
-    schedule, net, _ = prepare_source_model(cfg, out)
-    return schedule, net, str(out / "model.crdn")
+    net, _ = prepare_source_model(cfg, out)
+    return cfg.schedule(), net, str(out / "model.crdn")

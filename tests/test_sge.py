@@ -222,6 +222,14 @@ def test_fit_requires_frozen_net(sched):
                 SgeFitConfig(iterations=1), RngStream(0))
 
 
+def test_fit_rejects_window_above_T(sched):
+    net = NoiseNet(backbone=Mlp.zeros([2 + 32, 2]), d=2, T=sched.T).freeze()
+    with pytest.raises(InvalidArgumentError, match=f"window top {sched.T + 1} above T"):
+        fit_sge(net, sched, np.array([[0.0, 0.0]]),
+                RigidityMap(eta=1, t_lo=sched.T, t_hi=sched.T + 1),
+                SgeFitConfig(iterations=1), RngStream(0))
+
+
 def test_one_dimensional_brute_force_oracle():
     """With a zero net, eta=1 and fixed (t, eps) draws, gradient fitting
     must land within 1e-3 of the scalar minimizer found by brute force."""

@@ -196,6 +196,16 @@ LATE_FAILURES = {
                                    "run.start = 'noised': annealing start below"),
     "beta-range": (dict(schedule__beta_start=0.05), "need 0 < beta_start < beta_end < 1"),
     "negative-s": (dict(perturb__s=-0.1), "noise scale s must be >= 0"),
+    "window-above-T": (dict(sge__window_lo_frac=1.0),
+                       "sge.window_lo_frac: guidance window top 61 above T = 60"),
+    "mc-ssim-n-above-count": (dict(metrics__n=5, run__count=4,
+                                   source__kind="sprite-images", target__kind="sprite-images"),
+                              "metrics.n: n=5 outside [1, 4]"),
+    "mc-ssim-n-above-k": (dict(metrics__n=4, run__k=3, metrics__direction="per-generated",
+                               source__kind="sprite-images", target__kind="sprite-images"),
+                          "metrics.n: n=4 outside [1, 3]"),
+    "feature-dim-zero": (dict(metrics__feature="random-projection", metrics__feature_dim=0),
+                         "metrics.feature_dim: feature dim must be >= 1, got 0"),
 }
 
 
@@ -433,6 +443,26 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest_json["config_hash"] == cfg.hash()
 
 
+def test_run_experiment_calls_stages_by_module_name(tmp_path, monkeypatch):
+    import crdi.workbench.experiment as wbx
+
+    # run_experiment must look each stage up by its module-level name when it
+    # runs, so that a wrapper bound there (as the benchmark binds its timers)
+    # sees every stage call
+    stages = ("prepare_source_model", "fit_stage", "generate_stage", "evaluate_stage")
+    calls = []
+    for name in stages:
+        def recording(config, out_dir, _name=name, _stage=getattr(wbx, name)):
+            calls.append(_name)
+            return _stage(config, out_dir)
+        monkeypatch.setattr(wbx, name, recording)
+    manifest = wbx.run_experiment(_fast_config(), tmp_path / "run")
+    assert calls == list(stages)
+    written = [key for key in wbx._ARTIFACTS if key != "grid"]   # no grid for points
+    assert list(manifest.artifacts) == written
+    assert all(os.path.isfile(path) for path in manifest.artifacts.values())
+
+
 def test_run_experiment_failure_marker(tmp_path, monkeypatch):
     import crdi.workbench.experiment
     from crdi.errors import NumericError
@@ -470,7 +500,6 @@ def test_sprite_run_writes_grid(tmp_path):
 def test_report_cluster_rule_names_the_assignment():
     from crdi.diffusion import TIME_EMBED_DIM, NoiseNet
     from crdi.numerics import Mlp
-    from crdi.schedules import linear_schedule, make_plan
     from crdi.sge import SgeSet
     from crdi.workbench.experiment import evaluate
 
@@ -479,12 +508,11 @@ def test_report_cluster_rule_names_the_assignment():
         cfg = _fast_config(source__kind=kind, target__kind=kind, run__k=2,
                            run__count=4, run__eval_count=8)
         d = int(np.prod(sample_shape(cfg.domain_spec("target"))))
-        schedule = linear_schedule(60, 1e-4, 0.02)
-        net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), d, 60).freeze()
+        net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), d, cfg["schedule"]["T"]).freeze()
         targets = flatten(synth_domain(cfg.domain_spec("target"), 2))
         sge_set = SgeSet.zeros(2, d, cfg.rigidity_map(), targets=targets)
         samples = flatten(synth_domain(cfg.domain_spec("source"), 4))
-        report = evaluate(cfg, schedule, net, sge_set, samples, make_plan(schedule, 10))
+        report = evaluate(cfg, net, sge_set, samples)
         assert report.config["cluster_rule"] == rule
 
 
@@ -800,8 +828,16 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     (dict(), "sge.window_hi_frac", "1.0,0.5", "guidance window top 30 below start step 60"),
     (dict(sge__window_hi_frac=0.9, perturb__alpha_frac=0.9), "run.start", "noised,prior",
      "guidance window top 54 below start step 60"),
+    (dict(), "sge.window_lo_frac", "0.0,1.0", "guidance window top 61 above T = 60"),
+    (dict(run__count=4, source__kind="sprite-images", target__kind="sprite-images"),
+     "metrics.n", "2,5", "metrics.n: n=5 outside [1, 4]"),
+    (dict(metrics__direction="per-generated", source__kind="sprite-images",
+          target__kind="sprite-images"), "metrics.n", "2,4", "metrics.n: n=4 outside [1, 3]"),
+    (dict(metrics__feature="random-projection"), "metrics.feature_dim", "8,0",
+     "metrics.feature_dim: feature dim must be >= 1"),
 ], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
-        "prior-start-above-window"])
+        "prior-start-above-window", "window-above-T", "mc-ssim-n-above-count",
+        "mc-ssim-n-above-k", "feature-dim-zero"])
 def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
                                                          message):
     _, cfg_path = _config_file(tmp_path, **base)
