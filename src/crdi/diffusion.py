@@ -107,8 +107,7 @@ def ddim_step(schedule: NoiseSchedule, x_t: np.ndarray, t: int, t_prev: int,
     """Deterministic DDIM transition from timestep t to t_prev < t."""
     if t_prev >= t:
         raise InvalidArgumentError(f"t_prev={t_prev} must be < t={t}")
-    x0_hat = predict_x0(schedule, x_t, t, eps_hat)
-    return schedule.sqrt_ab(t_prev) * x0_hat + schedule.sqrt_one_minus_ab(t_prev) * eps_hat
+    return noise_to(schedule, predict_x0(schedule, x_t, t, eps_hat), t_prev, eps_hat)
 
 
 def score_from_noise(schedule: NoiseSchedule, eps_hat: np.ndarray, t: int) -> np.ndarray:
@@ -131,6 +130,10 @@ class TrainConfig:
     batch: int = 128
     lr: float = 1e-3
 
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise InvalidArgumentError(f"learning rate lr must be > 0, got {self.lr}")
+
 
 def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
                  config: TrainConfig, stream: RngStream):
@@ -151,15 +154,13 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     params = net.backbone.parameters()
     state = AdamState.for_params(params)
     trace = np.zeros(config.steps)
-    sqrt_ab = np.sqrt(schedule.alpha_bar)
-    sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bar)
 
     for step in range(config.steps):
         idx = (stream.uniform(config.batch) * n).astype(np.int64).clip(0, n - 1)
         t = 1 + (stream.uniform(config.batch) * schedule.T).astype(np.int64).clip(0, schedule.T - 1)
         x0 = dataset[idx]
         eps = gaussian(stream, (config.batch, net.d))
-        x_t = sqrt_ab[t, None] * x0 + sqrt_1mab[t, None] * eps
+        x_t = schedule.sqrt_ab(t)[:, None] * x0 + schedule.sqrt_one_minus_ab(t)[:, None] * eps
         inp = np.concatenate([x_t, net.time_table[t]], axis=-1)
         tape = []
         pred = mlp_forward(net.backbone, inp, tape=tape)

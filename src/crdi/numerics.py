@@ -33,6 +33,8 @@ class RngStream:
     def __init__(self, seed: int, purpose_tag: str = ""):
         if seed < 0:
             raise InvalidArgumentError("seed must be non-negative")
+        if seed >= 2**64:
+            raise InvalidArgumentError(f"seed {seed} does not fit in 64 bits")
         self.seed = int(seed)
         self.purpose_tag = purpose_tag
         self.counter = 0

@@ -74,18 +74,26 @@ def start_step(plan: InferencePlan, rmap: RigidityMap, start: str, alpha_t: int)
 
 
 def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
-               rmap: RigidityMap, x: np.ndarray, t_start: int, plan: InferencePlan,
-               sched: PerturbationSchedule, stream: RngStream) -> np.ndarray:
-    """One reverse chain from x at plan step t_start, as ``start_step`` gives
-    it, down to 0, guided by the (eta, d) segments."""
+               rmap: RigidityMap, target: np.ndarray | None, t_start: int,
+               plan: InferencePlan, sched: PerturbationSchedule | None,
+               stream: RngStream) -> np.ndarray:
+    """One reverse chain from plan step t_start, as ``start_step`` gives it,
+    down to 0, guided by the (eta, d) segments. The start state is the target
+    noised to t_start, or pure noise when target is None; its noise is the
+    chain's first draw from stream. sched None guides every step with the
+    fitted segments, unperturbed."""
     if not net.frozen:
         raise InvalidArgumentError("generation requires a frozen net")
+    x = gaussian(stream, (net.d,))
+    if target is not None:
+        x = noise_to(schedule, target, t_start, x)
     for t, t_prev in plan.steps_down():
         if t > t_start:
             continue
-        g_t = segments[segment_for(rmap, int(t))]
-        g_hat = perturb_guidance(g_t, int(t), sched, stream)
-        eps_hat = guided_noise(net, schedule, x, int(t), g_hat)
+        g = segments[segment_for(rmap, int(t))]
+        if sched is not None:
+            g = perturb_guidance(g, int(t), sched, stream)
+        eps_hat = guided_noise(net, schedule, x, int(t), g)
         x = ddim_step(schedule, x, int(t), int(t_prev), eps_hat)
     return x
 
@@ -93,14 +101,13 @@ def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
 def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
              request: GenerationRequest) -> np.ndarray:
     """Run `count` independent guided reverse chains; returns (count, d)."""
-    sched = request.perturb
     plan = request.plan
     n = len(sge_set)
     if request.start_sample is not None and not (0 <= request.start_sample < n):
         raise InvalidArgumentError(f"unknown sample id {request.start_sample}")
     if request.start == "noised" and sge_set.targets is None:
         raise InvalidArgumentError("noised start requires targets on the SgeSet")
-    t_start = start_step(plan, sge_set.rmap, request.start, sched.alpha_t)
+    t_start = start_step(plan, sge_set.rmap, request.start, request.perturb.alpha_t)
 
     mean = sge_set.mean_segments if request.guidance == "mean" else None
     out = np.zeros((request.count, net.d))
@@ -109,34 +116,28 @@ def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
         i = request.start_sample
         if i is None and mean is None:
             i = st.randint(0, n - 1)
+        target = None
         if request.start == "noised":
-            ref = i if i is not None else st.randint(0, n - 1)
-            x = noise_to(schedule, sge_set.targets[ref], t_start, gaussian(st, (net.d,)))
-        else:
-            x = gaussian(st, (net.d,))
+            target = sge_set.targets[i if i is not None else st.randint(0, n - 1)]
         segments = mean if mean is not None else sge_set.segments[i]
-        out[j] = _run_chain(net, schedule, segments, sge_set.rmap, x, t_start,
-                            plan, sched, st)
+        out[j] = _run_chain(net, schedule, segments, sge_set.rmap, target, t_start,
+                            plan, request.perturb, st)
     return out
 
 
 def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
                 sample_id: int, stream: RngStream, plan: InferencePlan,
                 alpha_t: int) -> np.ndarray:
-    """Deterministic reconstruction of one fitted target (s = 0).
+    """Deterministic reconstruction of one fitted target.
 
     The chain starts from the target noised to the highest plan step at or
     below `alpha_t`, with noise drawn from ``stream.child("out0")``, and is
-    fully guided on every step.
+    guided by the fitted segments, unperturbed, on every step.
     """
     if not (0 <= sample_id < len(sge_set)):
         raise InvalidArgumentError(f"unknown sample id {sample_id}")
     if sge_set.targets is None:
         raise InvalidArgumentError("reconstruct requires targets on the SgeSet")
     t_start = start_step(plan, sge_set.rmap, "noised", alpha_t)
-    # beta_t = t_start keeps gamma = 1, and so the fitted guidance, on every step
-    sched = PerturbationSchedule(alpha_t=t_start + 1, beta_t=t_start, s=0.0)
-    st = stream.child("out0")
-    x = noise_to(schedule, sge_set.targets[sample_id], t_start, gaussian(st, (net.d,)))
-    return _run_chain(net, schedule, sge_set.segments[sample_id], sge_set.rmap, x,
-                      t_start, plan, sched, st)
+    return _run_chain(net, schedule, sge_set.segments[sample_id], sge_set.rmap,
+                      sge_set.targets[sample_id], t_start, plan, None, stream.child("out0"))

@@ -3,7 +3,7 @@ inference sub-sequence, the rigidity segmentation map, and the annealing
 function gamma(t)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,19 @@ class NoiseSchedule:
     beta: np.ndarray        # beta[1..T] stored as length-T array
     alpha: np.ndarray       # 1 - beta_t
     alpha_bar: np.ndarray   # length T+1, cumulative products, alpha_bar[0] = 1
+    _sqrt_ab: np.ndarray = field(init=False, repr=False, compare=False)
+    _sqrt_one_minus_ab: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # sqrt is correctly rounded, so a table entry equals the sqrt of one entry
+        object.__setattr__(self, "_sqrt_ab", np.sqrt(self.alpha_bar))
+        object.__setattr__(self, "_sqrt_one_minus_ab", np.sqrt(1.0 - self.alpha_bar))
 
     def sqrt_ab(self, t) -> np.ndarray:
-        return np.sqrt(self.alpha_bar[t])
+        return self._sqrt_ab[t]
 
     def sqrt_one_minus_ab(self, t) -> np.ndarray:
-        return np.sqrt(1.0 - self.alpha_bar[t])
+        return self._sqrt_one_minus_ab[t]
 
 
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:

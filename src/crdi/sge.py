@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfmt
-from .diffusion import NoiseNet, eps_theta, noise_to
+from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
 from .numerics import AdamState, RngStream, adam_step, gaussian
 from .schedules import NoiseSchedule, RigidityMap, segment_for
@@ -95,6 +95,12 @@ class SgeFitConfig:
 
     def __post_init__(self):
         check_choice("coupling", self.coupling, COUPLINGS)
+        if not self.lr > 0:
+            raise InvalidArgumentError(f"learning rate lr must be > 0, got {self.lr}")
+        if not self.lam >= 0:
+            raise InvalidArgumentError(f"penalty weight lam must be >= 0, got {self.lam}")
+        if self.iterations < 0:
+            raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
 
 
 def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,
@@ -106,27 +112,20 @@ def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,
     vector g. Both forward targets sit on the noising ray defined by
     (eps, eps_prev); the net itself carries no gradient (frozen).
     """
-    a_t = schedule.sqrt_one_minus_ab(t)
-    r_t = schedule.sqrt_ab(t)
-    a_p = schedule.sqrt_one_minus_ab(t - 1)
-    r_p = schedule.sqrt_ab(t - 1)
-
     x_t = noise_to(schedule, x0, t, eps)
-    x_prev = noise_to(schedule, x0, t - 1, eps_prev)
-    eps_hat = eps_theta(net, x_t, t) - a_t * g
-    x0_hat = (x_t - a_t * eps_hat) / r_t
-    x_prev_hat = r_p * x0_hat + a_p * eps_hat
-
+    eps_hat = guided_noise(net, schedule, x_t, t, g)
+    x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     d0 = x0_hat - x0
-    dp = x_prev_hat - x_prev
+    dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - noise_to(schedule, x0, t - 1, eps_prev)
     dg = g - g_mean
     loss = float(d0 @ d0 + dp @ dp + lam * (dg @ dg))
     if not np.isfinite(loss):
         raise NumericError("non-finite SGE loss")
 
     # d eps_hat / d g = -a_t; chain through the two linear reconstructions
-    dx0_dg = a_t * a_t / r_t
-    dxp_dg = r_p * dx0_dg - a_p * a_t
+    a_t = schedule.sqrt_one_minus_ab(t)
+    dx0_dg = a_t * a_t / schedule.sqrt_ab(t)
+    dxp_dg = schedule.sqrt_ab(t - 1) * dx0_dg - schedule.sqrt_one_minus_ab(t - 1) * a_t
     grad = 2.0 * d0 * dx0_dg + 2.0 * dp * dxp_dg + 2.0 * lam * dg
     return loss, grad
 

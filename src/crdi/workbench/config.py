@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from ..sampler import GUIDANCE, STARTS, start_step
 from ..schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule, RigidityMap,
                          linear_schedule, make_plan)
 from ..sge import COUPLINGS, SgeFitConfig, fit_window
-from .domains import KINDS, DomainSpec, typed_like
+from .domains import KINDS, DomainSpec, sample_shape, typed_like
 
 # A domain section: its kind, then every parameter any kind takes.
 _DOMAIN = {"kind": "ring-of-gaussians",
@@ -114,11 +115,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def _typed(section: str, key: str, val, where: str = ""):
-    """val checked against the schema default's type; ints promote to float."""
+    """val checked against the schema default's type; ints promote to float,
+    and a float must be finite."""
     try:
-        return typed_like(_SCHEMA[section][key], val)
+        val = typed_like(_SCHEMA[section][key], val)
     except TypeError:
         raise ConfigError(f"type mismatch for {section}.{key}{where}") from None
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{section}.{key} must be finite, got {val}{where}")
+    return val
 
 
 def _schema_key(param: str):
@@ -186,6 +191,8 @@ class ExperimentConfig:
                              ("perturb", "alpha_frac"), ("perturb", "beta_frac")):
             if not 0.0 <= v[section][key] <= 1.0:
                 raise ConfigError(f"{section}.{key} must be in [0, 1]")
+        if v["sge"]["window_lo_frac"] > v["sge"]["window_hi_frac"]:
+            raise ConfigError("sge.window_lo_frac must be <= sge.window_hi_frac")
         for param, low in (("run.k", 1), ("run.count", 2), ("run.eval_count", 2),
                            ("train.steps", 1), ("train.batch", 1), ("sge.eta", 1)):
             section, key = param.split(".")
@@ -193,6 +200,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{param} must be >= {low}")
         if not 2 <= v["schedule"]["T"] <= MAX_T:
             raise ConfigError(f"schedule.T must be in [2, {MAX_T}]")
+        # the domain seeds 2 * seed + 1 must fit the 64 bits of an RngStream seed
+        if not 0 <= v["run"]["seed"] <= 2**63 - 1:
+            raise ConfigError(f"run.seed must be in [0, {2**63 - 1}]")
         for param, allowed in _CHOICES.items():
             section, key = param.split(".")
             if v[section][key] not in allowed:
@@ -201,12 +211,17 @@ class ExperimentConfig:
         src, tgt = self.domain_spec("source"), self.domain_spec("target")
         if (src.kind, src.params) == (tgt.kind, tgt.params):
             raise ConfigError("source and target domains must differ")
+        if sample_shape(src) != sample_shape(tgt):
+            raise ConfigError(f"source sample shape {sample_shape(src)} != "
+                              f"target sample shape {sample_shape(tgt)}")
         self.hidden_widths()
         ckpt = v["train"]["checkpoint"]
         if ckpt and not Path(ckpt).is_file():
             raise ConfigError(f"checkpoint {ckpt} does not exist or is not a file")
         # The stage objects, built as the stages build them, so that a rule
         # they hold fails here and not after training and fitting.
+        _built("train", self.train_config)
+        _built("sge", self.fit_config)
         schedule = _built("schedule", self.schedule)
         plan = _built("inference.steps", self.plan)
         perturb = _built("perturb", self.perturb_schedule)

@@ -45,6 +45,12 @@ def test_negative_seed_rejected():
         RngStream(-1)
 
 
+def test_seed_above_64_bits_rejected():
+    RngStream(2**64 - 1)
+    with pytest.raises(InvalidArgumentError, match="64 bits"):
+        RngStream(2**64)
+
+
 def test_randint_inclusive_bounds():
     s = RngStream(11, "ints")
     draws = [s.randint(2, 5) for _ in range(2000)]

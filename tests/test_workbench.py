@@ -93,7 +93,9 @@ def test_domain_spec_checks_parameter_types():
 
 @pytest.mark.parametrize("kind", ["ring-of-gaussians", "two-moons", "sprite-images"])
 def test_domain_spec_defaults_are_the_config_defaults(kind):
-    spec = ExperimentConfig.defaults(source__kind=kind).domain_spec("source")
+    # the target must share the source's sample shape
+    target = "sprite-images" if kind == "sprite-images" else "ring-of-gaussians"
+    spec = ExperimentConfig.defaults(source__kind=kind, target__kind=target).domain_spec("source")
     assert DomainSpec.make(kind, seed=spec.seed) == spec
 
 
@@ -169,8 +171,20 @@ def test_config_fraction_validation():
     (dict(train__hidden="abc"), "train.hidden"),
     (dict(train__hidden="8;8"), "train.hidden"),
     (dict(train__hidden="0,8"), "train.hidden"),
+    (dict(sge__window_lo_frac=0.8, sge__window_hi_frac=0.2, perturb__alpha_frac=0.8),
+     "sge.window_lo_frac must be <= sge.window_hi_frac"),
+    (dict(sge__lr=-0.5), "sge: learning rate lr must be > 0, got -0.5"),
+    (dict(train__lr=0), "train: learning rate lr must be > 0, got 0.0"),
+    (dict(sge__iterations=-5), "sge: iterations must be >= 0, got -5"),
+    (dict(sge__lam=-1.0), "sge: penalty weight lam must be >= 0"),
+    (dict(sge__lam=float("nan")), "sge.lam must be finite, got nan"),
+    (dict(perturb__s=float("inf")), "perturb.s must be finite, got inf"),
+    (dict(run__seed=2**63), r"run.seed must be in \[0, 9223372036854775807\]"),
+    (dict(run__seed=-1), r"run.seed must be in \[0, "),
 ], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
-        "hidden-abc", "hidden-semicolon", "hidden-zero"])
+        "hidden-abc", "hidden-semicolon", "hidden-zero", "window-order", "sge-lr",
+        "train-lr", "sge-iterations", "sge-lam", "lam-nan", "s-inf", "seed-high",
+        "seed-negative"])
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
@@ -206,6 +220,11 @@ LATE_FAILURES = {
                           "metrics.n: n=4 outside [1, 3]"),
     "feature-dim-zero": (dict(metrics__feature="random-projection", metrics__feature_dim=0),
                          "metrics.feature_dim: feature dim must be >= 1, got 0"),
+    "sample-shape-mismatch": (dict(target__kind="sprite-images"),
+                              "source sample shape (2,) != target sample shape (16, 16)"),
+    "sprite-size-mismatch": (dict(source__kind="sprite-images", target__kind="sprite-images",
+                                  target__size=8),
+                             "source sample shape (16, 16) != target sample shape (8, 8)"),
 }
 
 
@@ -219,6 +238,11 @@ def test_config_bounds_accept_edges():
     ExperimentConfig.defaults(run__count=2, run__eval_count=2, train__batch=1, sge__eta=1,
                               schedule__T=60, inference__steps=61)
     ExperimentConfig.defaults(inference__steps=2)
+    ExperimentConfig.defaults(sge__lam=0.0, sge__iterations=0, run__seed=2**63 - 1)
+    # equal window fractions keep a one-step window
+    rmap = ExperimentConfig.defaults(sge__window_lo_frac=0.8, sge__window_hi_frac=0.8,
+                                     perturb__alpha_frac=0.8).rigidity_map()
+    assert (rmap.t_lo, rmap.t_hi) == (800, 801)
 
 
 def test_hidden_widths_parse_positive_integers():
@@ -835,9 +859,17 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
           target__kind="sprite-images"), "metrics.n", "2,4", "metrics.n: n=4 outside [1, 3]"),
     (dict(metrics__feature="random-projection"), "metrics.feature_dim", "8,0",
      "metrics.feature_dim: feature dim must be >= 1"),
+    (dict(), "target.kind", "ring-of-gaussians,sprite-images",
+     "source sample shape (2,) != target sample shape (16, 16)"),
+    (dict(sge__window_lo_frac=0.8, perturb__alpha_frac=0.8), "sge.window_hi_frac", "1.0,0.2",
+     "sge.window_lo_frac must be <= sge.window_hi_frac"),
+    (dict(), "sge.lr", "0.05,-0.5", "sge: learning rate lr must be > 0"),
+    (dict(), "sge.lam", "1.0,nan", "sge.lam must be finite"),
+    (dict(), "run.seed", "0,9223372036854775808", "run.seed must be in"),
 ], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
         "prior-start-above-window", "window-above-T", "mc-ssim-n-above-count",
-        "mc-ssim-n-above-k", "feature-dim-zero"])
+        "mc-ssim-n-above-k", "feature-dim-zero", "sample-shape-mismatch", "window-order",
+        "sge-lr", "lam-nan", "seed-high"])
 def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
                                                          message):
     _, cfg_path = _config_file(tmp_path, **base)
@@ -846,6 +878,16 @@ def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, v
                "--param", param, "--values", values)
     assert res.exit_code == 2, res.output
     assert message in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["9223372036854775808", "-1"])
+def test_cli_seed_out_of_range_exits_before_any_stage(tmp_path, seed):
+    _, cfg_path = _config_file(tmp_path)
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--seed", seed, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "run.seed must be in" in res.output and "Traceback" not in res.output
     assert not out.exists()
 
 
