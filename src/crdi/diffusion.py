@@ -80,15 +80,25 @@ def eps_theta(net: NoiseNet, x: np.ndarray, t) -> np.ndarray:
     return mlp_forward(net.backbone, np.concatenate([x, feat], axis=-1))
 
 
-def noise_to(schedule: NoiseSchedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """Forward noising: sqrt(ab_t) x0 + sqrt(1-ab_t) eps."""
+def noise_to(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """Forward noising: sqrt(ab_t) x0 + sqrt(1-ab_t) eps. t is one integer
+    step, or for a 2-D x0 an integer array with one step per row."""
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ShapeError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    if not (0 <= t <= schedule.T):
-        raise InvalidArgumentError(f"t={t} outside [0, {schedule.T}]")
-    return schedule.sqrt_ab(t) * x0 + schedule.sqrt_one_minus_ab(t) * eps
+    if isinstance(t, (int, np.integer)):
+        if not (0 <= t <= schedule.T):
+            raise InvalidArgumentError(f"t={t} outside [0, {schedule.T}]")
+        return schedule.sqrt_ab(t) * x0 + schedule.sqrt_one_minus_ab(t) * eps
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"timestep dtype {t.dtype} is not an integer type")
+    if x0.ndim != 2 or t.shape != x0.shape[:1]:
+        raise ShapeError(f"timesteps of shape {t.shape} are not one per row of {x0.shape}")
+    if t.size and not (t.min() >= 0 and t.max() <= schedule.T):
+        raise InvalidArgumentError(f"timestep outside [0, {schedule.T}]")
+    return schedule.sqrt_ab(t)[:, None] * x0 + schedule.sqrt_one_minus_ab(t)[:, None] * eps
 
 
 def predict_x0(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps_hat: np.ndarray) -> np.ndarray:
@@ -160,7 +170,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
         t = 1 + (stream.uniform(config.batch) * schedule.T).astype(np.int64).clip(0, schedule.T - 1)
         x0 = dataset[idx]
         eps = gaussian(stream, (config.batch, net.d))
-        x_t = schedule.sqrt_ab(t)[:, None] * x0 + schedule.sqrt_one_minus_ab(t)[:, None] * eps
+        x_t = noise_to(schedule, x0, t, eps)
         inp = np.concatenate([x_t, net.time_table[t]], axis=-1)
         tape = []
         pred = mlp_forward(net.backbone, inp, tape=tape)

@@ -54,6 +54,10 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return k2 / k2.sum()
 
 
+_KERNEL = _gaussian_kernel(_WINDOW, _SIGMA)   # SSIM's window weights, built once
+_KERNEL.flags.writeable = False
+
+
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Structural similarity; global statistics below 16px, otherwise an
     11-wide Gaussian-windowed local map averaged over the image."""
@@ -69,14 +73,13 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         return float(((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) /
                      ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2)))
 
-    kern = _gaussian_kernel(_WINDOW, _SIGMA)
     wa = sliding_window_view(a, (_WINDOW, _WINDOW))
     wb = sliding_window_view(b, (_WINDOW, _WINDOW))
-    mu_a = np.tensordot(wa, kern, axes=((2, 3), (0, 1)))
-    mu_b = np.tensordot(wb, kern, axes=((2, 3), (0, 1)))
-    ea = np.tensordot(wa * wa, kern, axes=((2, 3), (0, 1)))
-    eb = np.tensordot(wb * wb, kern, axes=((2, 3), (0, 1)))
-    eab = np.tensordot(wa * wb, kern, axes=((2, 3), (0, 1)))
+    mu_a = np.tensordot(wa, _KERNEL, axes=((2, 3), (0, 1)))
+    mu_b = np.tensordot(wb, _KERNEL, axes=((2, 3), (0, 1)))
+    ea = np.tensordot(wa * wa, _KERNEL, axes=((2, 3), (0, 1)))
+    eb = np.tensordot(wb * wb, _KERNEL, axes=((2, 3), (0, 1)))
+    eab = np.tensordot(wa * wb, _KERNEL, axes=((2, 3), (0, 1)))
     va, vb = ea - mu_a ** 2, eb - mu_b ** 2
     cov = eab - mu_a * mu_b
     local = ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / \

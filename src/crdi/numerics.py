@@ -72,12 +72,17 @@ def gaussian(stream: RngStream, shape) -> np.ndarray:
     return z[:n].reshape(shape)
 
 
+# Below x = -709.78, exp(-x) overflows to inf, which gives silu and its
+# gradient their exact limits (-0); the overflow is expected, not reported.
+
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
 

@@ -73,34 +73,49 @@ def start_step(plan: InferencePlan, rmap: RigidityMap, start: str, alpha_t: int)
     return t_start
 
 
-def _run_chain(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
-               rmap: RigidityMap, target: np.ndarray | None, t_start: int,
-               plan: InferencePlan, sched: PerturbationSchedule | None,
-               stream: RngStream) -> np.ndarray:
-    """One reverse chain from plan step t_start, as ``start_step`` gives it,
-    down to 0, guided by the (eta, d) segments. The start state is the target
-    noised to t_start, or pure noise when target is None; its noise is the
-    chain's first draw from stream. sched None guides every step with the
-    fitted segments, unperturbed."""
+def _run_chains(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
+                rows: np.ndarray | None, rmap: RigidityMap, targets: np.ndarray | None,
+                t_start: int, plan: InferencePlan, sched: PerturbationSchedule | None,
+                streams: list) -> np.ndarray:
+    """Reverse chains, one per stream, advanced together as one (m, d) state
+    from plan step t_start, as ``start_step`` gives it, down to 0.
+
+    Chain j is guided by ``segments[rows[j]]`` out of an (N, eta, d) array,
+    or, when rows is None, every chain by the one (eta, d) ``segments``. Its
+    start state is ``targets[j]`` noised to t_start, or pure noise when
+    targets is None; that noise is the first draw from ``streams[j]``, and
+    the chain's perturbations follow on the same stream, one per step.
+    sched None guides every step with the fitted segments, unperturbed. The
+    chains draw independently of their states, so one net call per step
+    serves them all.
+    """
     if not net.frozen:
         raise InvalidArgumentError("generation requires a frozen net")
-    x = gaussian(stream, (net.d,))
-    if target is not None:
-        x = noise_to(schedule, target, t_start, x)
+    x = np.stack([gaussian(st, (net.d,)) for st in streams])
+    if targets is not None:
+        x = noise_to(schedule, targets, t_start, x)
     for t, t_prev in plan.steps_down():
+        t, t_prev = int(t), int(t_prev)
         if t > t_start:
             continue
-        g = segments[segment_for(rmap, int(t))]
+        seg = segment_for(rmap, t)
+        g = segments[seg] if rows is None else segments[rows, seg]
         if sched is not None:
-            g = perturb_guidance(g, int(t), sched, stream)
-        eps_hat = guided_noise(net, schedule, x, int(t), g)
-        x = ddim_step(schedule, x, int(t), int(t_prev), eps_hat)
+            g = np.stack([perturb_guidance(gj, t, sched, st)
+                          for gj, st in zip(np.broadcast_to(g, x.shape), streams)])
+        x = ddim_step(schedule, x, t, t_prev, guided_noise(net, schedule, x, t, g))
     return x
 
 
 def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
              request: GenerationRequest) -> np.ndarray:
-    """Run `count` independent guided reverse chains; returns (count, d)."""
+    """Run `count` independent guided reverse chains; returns (count, d).
+
+    Chain j draws from ``request.stream.child(f"out{j}")``: its embedding
+    choice (per-sample guidance without ``start_sample``), its start target
+    choice (a "noised" start under mean guidance without ``start_sample``),
+    its start noise, then one perturbation per perturbed step.
+    """
     plan = request.plan
     n = len(sge_set)
     if request.start_sample is not None and not (0 <= request.start_sample < n):
@@ -109,20 +124,25 @@ def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
         raise InvalidArgumentError("noised start requires targets on the SgeSet")
     t_start = start_step(plan, sge_set.rmap, request.start, request.perturb.alpha_t)
 
-    mean = sge_set.mean_segments if request.guidance == "mean" else None
-    out = np.zeros((request.count, net.d))
-    for j in range(request.count):
-        st = request.stream.child(f"out{j}")
+    mean = request.guidance == "mean"
+    streams = [request.stream.child(f"out{j}") for j in range(request.count)]
+    choices, starts = [], []
+    for st in streams:
         i = request.start_sample
-        if i is None and mean is None:
+        if i is None and not mean:
             i = st.randint(0, n - 1)
-        target = None
+            choices.append(i)
         if request.start == "noised":
-            target = sge_set.targets[i if i is not None else st.randint(0, n - 1)]
-        segments = mean if mean is not None else sge_set.segments[i]
-        out[j] = _run_chain(net, schedule, segments, sge_set.rmap, target, t_start,
-                            plan, request.perturb, st)
-    return out
+            starts.append(i if i is not None else st.randint(0, n - 1))
+    if mean:
+        segments, rows = sge_set.mean_segments, None
+    elif choices:
+        segments, rows = sge_set.segments, np.array(choices)
+    else:
+        segments, rows = sge_set.segments[request.start_sample], None
+    targets = sge_set.targets[starts] if request.start == "noised" else None
+    return _run_chains(net, schedule, segments, rows, sge_set.rmap, targets, t_start,
+                       plan, request.perturb, streams)
 
 
 def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
@@ -139,5 +159,7 @@ def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
     if sge_set.targets is None:
         raise InvalidArgumentError("reconstruct requires targets on the SgeSet")
     t_start = start_step(plan, sge_set.rmap, "noised", alpha_t)
-    return _run_chain(net, schedule, sge_set.segments[sample_id], sge_set.rmap,
-                      sge_set.targets[sample_id], t_start, plan, None, stream.child("out0"))
+    x = _run_chains(net, schedule, sge_set.segments[sample_id], None, sge_set.rmap,
+                    sge_set.targets[sample_id:sample_id + 1], t_start, plan, None,
+                    [stream.child("out0")])
+    return x[0]

@@ -47,6 +47,11 @@ def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.concatenate([[1.0], np.cumprod(alpha)])
+    # x0 predictions divide by sqrt(alpha_bar[t]), so it must not underflow to 0
+    if not alpha_bar[T] > 0.0:
+        raise InvalidArgumentError(
+            f"alpha_bar[T] underflows to 0: betas ({beta_start}, {beta_end}) "
+            f"are too large for T = {T}")
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 

@@ -103,17 +103,21 @@ class SgeFitConfig:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
 
 
-def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,
+def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: int,
              eps: np.ndarray, eps_prev: np.ndarray, g: np.ndarray,
              g_mean: np.ndarray, lam: float):
     """Reconstruction + mean-penalty loss for one (t, eps) draw.
 
+    ``eps_net`` is the frozen net's prediction at the noised state,
+    ``eps_theta(net, noise_to(schedule, x0, t, eps), t)``; it does not
+    depend on g, and the guidance shifts it by -sqrt(1 - ab_t) * g.
     Returns (loss, grad) where grad is d loss / d g for the active segment
     vector g. Both forward targets sit on the noising ray defined by
-    (eps, eps_prev); the net itself carries no gradient (frozen).
+    (eps, eps_prev).
     """
+    a_t = schedule.sqrt_one_minus_ab(t)
     x_t = noise_to(schedule, x0, t, eps)
-    eps_hat = guided_noise(net, schedule, x_t, t, g)
+    eps_hat = eps_net - a_t * g
     x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     d0 = x0_hat - x0
     dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - noise_to(schedule, x0, t - 1, eps_prev)
@@ -123,7 +127,6 @@ def sge_loss(net: NoiseNet, schedule: NoiseSchedule, x0: np.ndarray, t: int,
         raise NumericError("non-finite SGE loss")
 
     # d eps_hat / d g = -a_t; chain through the two linear reconstructions
-    a_t = schedule.sqrt_one_minus_ab(t)
     dx0_dg = a_t * a_t / schedule.sqrt_ab(t)
     dxp_dg = schedule.sqrt_ab(t - 1) * dx0_dg - schedule.sqrt_one_minus_ab(t - 1) * a_t
     grad = 2.0 * d0 * dx0_dg + 2.0 * dp * dxp_dg + 2.0 * lam * dg
@@ -140,9 +143,11 @@ def fit_window(rmap: RigidityMap, schedule: NoiseSchedule) -> tuple:
 
 def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
             config: SgeFitConfig, stream: RngStream) -> SgeSet:
-    """Inversion loop: per iteration and per sample, draw (t, eps), relax
-    the noisy state, and update only the active segment of that sample's
-    embedding. The penalty mean refreshes at epoch boundaries."""
+    """Inversion loop: per iteration, every sample draws (t, eps) from its
+    own stream, one net call predicts the noise at all N noised states, and
+    each sample then updates only the active segment of its embedding. The
+    samples do not interact within an iteration: the penalty mean refreshes
+    at epoch boundaries."""
     if not net.frozen:
         raise InvalidArgumentError("fit_sge requires a frozen net")
     targets = np.asarray(targets, dtype=np.float64)
@@ -153,6 +158,7 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
         raise ShapeError(f"target dim {d} != net.d {net.d}")
 
     t_lo, t_hi = fit_window(rmap, schedule)
+    coupled = config.coupling == "coupled"
     segments = np.zeros((n, rmap.eta, d))
     mean = np.zeros((rmap.eta, d))   # penalty target, refreshed at epoch boundaries
     streams = [stream.child(f"sample{i}") for i in range(n)]
@@ -162,14 +168,18 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     last_loss = [0.0] * n
 
     for _ in range(config.iterations):
-        for i in range(n):
-            st = streams[i]
+        draws = []
+        for st in streams:
             t = st.randint(t_lo, t_hi)
             eps = gaussian(st, (d,))
-            eps_prev = eps if config.coupling == "coupled" else gaussian(st, (d,))
+            draws.append((t, eps, eps if coupled else gaussian(st, (d,))))
+        ts = np.array([t for t, _, _ in draws])
+        noised = noise_to(schedule, targets, ts, np.stack([eps for _, eps, _ in draws]))
+        eps_net = eps_theta(net, noised, ts)
+        for i, (t, eps, eps_prev) in enumerate(draws):
             seg = segment_for(rmap, t)
             g = segments[i, seg]
-            loss, grad = sge_loss(net, schedule, targets[i], t, eps, eps_prev,
+            loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, eps, eps_prev,
                                   g, mean[seg], config.lam)
             (new_g,), adam[i][seg] = adam_step([g], [grad], adam[i][seg], config.lr)
             segments[i, seg] = new_g

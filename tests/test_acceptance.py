@@ -80,12 +80,13 @@ def test_criterion_1_gradient_suite():
         g = gaussian(stream, (3,))
         g_mean = gaussian(stream, (3,))
         lam = [0.0, 1.0, 10.0][probe % 3]
-        _, grad = sge_loss(dnet, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
+        eps_net = eps_theta(dnet, noise_to(schedule, x0, t, eps), t)
+        _, grad = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
         k = stream.randint(0, 2)
         e = np.zeros(3)
         e[k] = h
-        lp, _ = sge_loss(dnet, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
-        lm, _ = sge_loss(dnet, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
+        lp, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
+        lm, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
         assert rel_ok(grad[k], (lp - lm) / (2 * h))
 
     assert time.monotonic() - t0 < 30.0
@@ -129,14 +130,16 @@ def test_criterion_3_reduction_suite(tiny_ring):
         perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
         plan=plan, count=4, stream=RngStream(300, "gen"))
     samples = generate(net, schedule, SgeSet.zeros(2, 2, rmap), request)
+    x = []
     for j in range(4):
         st = RngStream(300, "gen").child(f"out{j}")
         st.randint(0, 1)  # the embedding choice generate() made
-        x = gaussian(st, (2,))
-        for t, t_prev in plan.steps_down():
-            x = ddim_step(schedule, x, int(t), int(t_prev),
-                          eps_theta(net, x, int(t)))
-        np.testing.assert_array_equal(samples[j], x)
+        x.append(gaussian(st, (2,)))
+    x = np.stack(x)  # the plain chains, advanced as one (4, 2) batch
+    for t, t_prev in plan.steps_down():
+        x = ddim_step(schedule, x, int(t), int(t_prev),
+                      eps_theta(net, x, int(t)))
+    np.testing.assert_array_equal(samples, x)
 
     before = net.param_checksum()
     fit_sge(net, schedule, np.array([[1.0, -0.5], [0.3, 0.9]]),

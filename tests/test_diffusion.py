@@ -50,6 +50,22 @@ def test_noise_to_validation(sched100):
         noise_to(sched100, np.zeros(2), 101, np.zeros(2))
 
 
+def test_noise_to_per_row_steps_match_rowwise(sched100):
+    stream = RngStream(21, "rows")
+    x0, eps = gaussian(stream, (5, 3)), gaussian(stream, (5, 3))
+    t = np.array([0, 1, 37, 99, 100])
+    out = noise_to(sched100, x0, t, eps)
+    for i in range(5):
+        assert out[i].tobytes() == noise_to(sched100, x0[i], int(t[i]), eps[i]).tobytes()
+    for bad_t, bad_x, error in ((np.array([0, 101]), np.zeros((2, 2)), InvalidArgumentError),
+                                (np.array([-1, 5]), np.zeros((2, 2)), InvalidArgumentError),
+                                (np.array([1.0, 5.0]), np.zeros((2, 2)), InvalidArgumentError),
+                                (np.array([1, 5, 7]), np.zeros((2, 2)), ShapeError),
+                                (np.array([1, 5]), np.zeros(2), ShapeError)):
+        with pytest.raises(error):
+            noise_to(sched100, bad_x, bad_t, bad_x)
+
+
 # ---------------------------------------------------------------- predict_x0
 
 def test_round_trip_all_timesteps(sched100):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from crdi.errors import InvalidArgumentError, NumericError, ShapeError
 from crdi.numerics import (AdamState, Mlp, RngStream, adam_step, gaussian,
-                           mlp_backward, mlp_forward, silu)
+                           mlp_backward, mlp_forward, silu, silu_grad)
 
 
 # ---------------------------------------------------------------- RngStream
@@ -86,6 +86,17 @@ def test_identity_single_layer():
     net.weights[0] = np.eye(4)
     x = np.array([0.5, -1.5, 2.0, 0.0])
     np.testing.assert_array_equal(mlp_forward(net, x), x)
+
+
+def test_silu_saturates_without_overflow_warning():
+    # exp(800) overflows; the pytest filter turns any RuntimeWarning into a failure
+    x = np.array([-800.0, -709.0, -3.5, 0.0, 2.25])
+    out, grad = silu(x), silu_grad(x)
+    assert out[0] == 0.0 and grad[0] == 0.0
+    finite = x[1:]
+    s = 1.0 / (1.0 + np.exp(-finite))
+    np.testing.assert_array_equal(out[1:], finite / (1.0 + np.exp(-finite)))
+    np.testing.assert_array_equal(grad[1:], s * (1.0 + finite * (1.0 - s)))
 
 
 def test_forward_matches_manual_recurrence():

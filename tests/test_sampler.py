@@ -3,11 +3,11 @@ sampler, reconstruction determinism, diversity ordering."""
 import numpy as np
 import pytest
 
-from crdi.diffusion import ddim_step, eps_theta
+from crdi.diffusion import ddim_step, eps_theta, noise_to
 from crdi.errors import InvalidArgumentError
 from crdi.numerics import RngStream, gaussian
 from crdi.sampler import (GenerationRequest, generate, perturb_guidance,
-                          reconstruct)
+                          reconstruct, start_step)
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
                             make_plan, segment_for)
 from crdi.sge import SgeFitConfig, SgeSet, fit_sge, guided_noise
@@ -59,14 +59,16 @@ def test_zero_sge_prior_start_equals_unconditional_chain(tiny_ring):
                                 perturb=sched, plan=plan, count=3, stream=stream)
     samples = generate(net, schedule, SgeSet.zeros(2, 2, rmap), request)
 
+    x = []
     for j in range(3):
         st = RngStream(4, "gen").child(f"out{j}")
         st.randint(0, 1)  # generate() consumed one draw choosing the sge
-        x = gaussian(st, (2,))
-        for t, t_prev in plan.steps_down():
-            x = ddim_step(schedule, x, int(t), int(t_prev),
-                          eps_theta(net, x, int(t)))
-        np.testing.assert_array_equal(samples[j], x)
+        x.append(gaussian(st, (2,)))
+    x = np.stack(x)  # the plain chains, advanced as one (3, 2) batch
+    for t, t_prev in plan.steps_down():
+        x = ddim_step(schedule, x, int(t), int(t_prev),
+                      eps_theta(net, x, int(t)))
+    np.testing.assert_array_equal(samples, x)
 
 
 def test_generate_requires_frozen_net(tiny_ring):
@@ -202,6 +204,39 @@ def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     out = reconstruct(net, sched1, sge_set, 0, RngStream(9, "r"), plan,
                       alpha_t=alpha_t)  # starts right at t = 24, fully guided
     assert abs(out[0] - target[0]) < 1e-10
+
+
+@pytest.mark.parametrize("guidance", ["per-sample", "mean"])
+def test_generate_draw_order_per_chain(fitted_tiny, guidance):
+    # chain j draws from its own stream: the embedding choice (per-sample) or
+    # the start target choice (mean), the start noise, then one perturbation
+    # per perturbed step; the chains then advance as one batch
+    schedule, net, sge_set = fitted_tiny
+    plan = make_plan(schedule, 15)
+    sched = PerturbationSchedule(alpha_t=40, beta_t=20, s=0.3)
+    request = GenerationRequest(guidance=guidance, start="noised", perturb=sched,
+                                plan=plan, count=5, stream=RngStream(12, "gen"))
+    samples = generate(net, schedule, sge_set, request)
+
+    t_start = start_step(plan, sge_set.rmap, "noised", sched.alpha_t)
+    streams = [RngStream(12, "gen").child(f"out{j}") for j in range(5)]
+    choice = [st.randint(0, 2) for st in streams]
+    x = np.stack([noise_to(schedule, sge_set.targets[i], t_start, gaussian(st, (2,)))
+                  for i, st in zip(choice, streams)])
+    own = [sge_set.mean_segments if guidance == "mean" else sge_set.segments[i]
+           for i in choice]
+    perturbed = 0
+    for t, t_prev in plan.steps_down():
+        t, t_prev = int(t), int(t_prev)
+        if t > t_start:
+            continue
+        seg = segment_for(sge_set.rmap, t)
+        g = np.stack([perturb_guidance(segs[seg], t, sched, st)
+                      for segs, st in zip(own, streams)])
+        perturbed += t > sched.beta_t
+        x = ddim_step(schedule, x, t, t_prev, guided_noise(net, schedule, x, t, g))
+    assert perturbed >= 2
+    np.testing.assert_array_equal(samples, x)
 
 
 # ------------------------------------------------------------ diversity

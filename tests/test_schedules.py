@@ -53,6 +53,13 @@ def test_schedule_argument_validation():
         linear_schedule(100, 0.5, 1.0)
 
 
+def test_schedule_rejects_alpha_bar_underflow():
+    # x0 predictions divide by sqrt(alpha_bar[t]); at T = 2000 these betas drive it to 0
+    with pytest.raises(InvalidArgumentError, match=r"alpha_bar\[T\] underflows to 0"):
+        linear_schedule(2000, 0.3, 0.99)
+    assert linear_schedule(100_000, 1e-4, 0.02).alpha_bar[-1] > 0.0
+
+
 # ---------------------------------------------------------------- plan
 
 def test_make_plan_covers_range():

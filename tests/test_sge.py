@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, \
-    score_from_noise
+from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, noise_to, \
+    score_from_noise, time_features
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import Mlp, RngStream, gaussian
+from crdi.numerics import AdamState, Mlp, RngStream, adam_step, gaussian, mlp_forward
 from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule, segment_for
 from crdi.sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
                       save_sge, sge_loss)
@@ -75,7 +75,8 @@ def test_loss_zero_for_perfect_guidance(sched):
     t = 20
     eps = gaussian(RngStream(2, "eps"), (2,))
     g = -eps / sched.sqrt_one_minus_ab(t)
-    loss, grad = sge_loss(net, sched, x0, t, eps, eps, g, g, lam=1.0)
+    eps_net = eps_theta(net, noise_to(sched, x0, t, eps), t)
+    loss, grad = sge_loss(eps_net, sched, x0, t, eps, eps, g, g, lam=1.0)
     assert loss == pytest.approx(0.0, abs=1e-18)
 
 
@@ -85,8 +86,9 @@ def test_penalty_vanishes_at_mean(sched, tiny_ring):
     x0 = np.array([1.0, 0.0])
     g = np.array([0.3, -0.7])
     eps = gaussian(RngStream(3, "eps"), (2,))
-    loss_eq, _ = sge_loss(net, schedule, x0, 12, eps, eps, g, g, lam=100.0)
-    loss_zero, _ = sge_loss(net, schedule, x0, 12, eps, eps, g, g, lam=0.0)
+    eps_net = eps_theta(net, noise_to(schedule, x0, 12, eps), 12)
+    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, eps, eps, g, g, lam=100.0)
+    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, eps, eps, g, g, lam=0.0)
     assert loss_eq == pytest.approx(loss_zero, rel=1e-12)
 
 
@@ -102,12 +104,13 @@ def test_loss_gradient_matches_finite_differences(tiny_ring):
         g = gaussian(stream, (2,))
         g_mean = gaussian(stream, (2,))
         lam = [0.0, 1.0, 10.0][probe % 3]
-        _, grad = sge_loss(net, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
+        eps_net = eps_theta(net, noise_to(schedule, x0, t, eps), t)
+        _, grad = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            lp, _ = sge_loss(net, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
-            lm, _ = sge_loss(net, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
+            lp, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
+            lm, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -233,8 +236,6 @@ def test_fit_rejects_window_above_T(sched):
 def test_one_dimensional_brute_force_oracle():
     """With a zero net, eta=1 and fixed (t, eps) draws, gradient fitting
     must land within 1e-3 of the scalar minimizer found by brute force."""
-    from crdi.numerics import AdamState, adam_step
-
     sched1 = linear_schedule(50, 1e-4, 0.02)
     net = _zero_net(1, sched1.T)
     x0 = np.array([1.5])
@@ -266,7 +267,8 @@ def test_one_dimensional_brute_force_oracle():
     for _ in range(600):
         grad = np.zeros(1)
         for t, eps in draws:
-            _, gi = sge_loss(net, sched1, x0, t, eps, eps, g, g, lam=0.0)
+            eps_net = eps_theta(net, noise_to(sched1, x0, t, eps), t)
+            _, gi = sge_loss(eps_net, sched1, x0, t, eps, eps, g, g, lam=0.0)
             grad += gi
         (g,), state = adam_step([g], [grad], state, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
@@ -297,6 +299,53 @@ def test_fit_metadata_recorded(sched):
     meta = out.meta[0]
     assert meta["iterations"] == 30
     assert np.isfinite(meta["final_loss"])
+
+
+def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
+    """fit_sge written out test-side as the reference, one iteration at a
+    time: every sample's draws from its own stream, one net evaluation over
+    the N noised states (time features recomputed, not read from the
+    table), then one loss and one Adam step per sample on its active
+    segment, with moments kept per (sample, segment)."""
+    n, d = targets.shape
+    streams = [stream.child(f"sample{i}") for i in range(n)]
+    sqrt_ab = np.sqrt(schedule.alpha_bar)
+    sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bar)
+    segments = np.zeros((n, rmap.eta, d))
+    mean = np.zeros((rmap.eta, d))
+    states, losses = {}, [0.0] * n
+    for _ in range(config.iterations):
+        ts, eps, eps_prev = [], [], []
+        for st in streams:
+            ts.append(st.randint(max(rmap.t_lo, 1), rmap.t_hi))
+            eps.append(gaussian(st, (d,)))
+            eps_prev.append(eps[-1] if config.coupling == "coupled" else gaussian(st, (d,)))
+        ts = np.array(ts)
+        x_t = sqrt_ab[ts, None] * targets + sqrt_1mab[ts, None] * np.stack(eps)
+        eps_net = mlp_forward(net.backbone,
+                              np.concatenate([x_t, time_features(ts, net.T)], axis=-1))
+        for i, t in enumerate(ts.tolist()):
+            seg = segment_for(rmap, t)
+            losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, eps[i],
+                                       eps_prev[i], segments[i, seg], mean[seg], config.lam)
+            state = states.get((i, seg), AdamState.for_params([np.zeros(d)]))
+            (segments[i, seg],), states[i, seg] = adam_step(
+                [segments[i, seg]], [grad], state, config.lr)
+        mean = segments.mean(axis=0)
+    return segments, losses
+
+
+@pytest.mark.parametrize("coupling", ["coupled", "independent"])
+def test_fit_matches_batched_reference(tiny_ring, coupling):
+    schedule, net, _, _ = tiny_ring
+    targets = np.array([[1.8, 0.4], [-0.6, 1.5], [0.2, -1.9], [0.0, 0.7]])
+    rmap = RigidityMap(eta=4, t_lo=0, t_hi=schedule.T)
+    config = SgeFitConfig(lr=0.05, iterations=120, lam=0.5, coupling=coupling)
+    fitted = fit_sge(net, schedule, targets, rmap, config, RngStream(18, "fit"))
+    segments, losses = _batched_fit_reference(net, schedule, targets, rmap, config,
+                                              RngStream(18, "fit"))
+    assert fitted.segments.tobytes() == segments.tobytes()
+    assert [m["final_loss"] for m in fitted.meta] == losses
 
 
 # ---------------------------------------------------------------- file IO

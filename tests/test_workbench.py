@@ -467,6 +467,39 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest_json["config_hash"] == cfg.hash()
 
 
+def test_run_experiment_batches_net_calls(tmp_path, monkeypatch):
+    # the benchmark's closed forms on a small ring run: the frozen net sees
+    # k * iterations + count * steps rows, in one call per fit iteration (k
+    # rows) and one per generate step (count rows), while sge_loss and
+    # adam_step still run once per (sample, iteration)
+    import crdi.sge
+    from crdi.sampler import start_step
+    from crdi.workbench.experiment import run_experiment
+
+    cfg = _fast_config()
+    rows, counts = [], {"sge_loss": 0, "adam_step": 0}
+
+    def eps_theta(net, x, t, _real=crdi.sge.eps_theta):
+        rows.append(np.shape(x)[0])
+        return _real(net, x, t)
+
+    monkeypatch.setattr(crdi.sge, "eps_theta", eps_theta)
+    for name in counts:
+        def counting(*args, _name=name, _real=getattr(crdi.sge, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(crdi.sge, name, counting)
+    run_experiment(cfg, tmp_path / "run")
+
+    k, iterations, count = cfg["run"]["k"], cfg["sge"]["iterations"], cfg["run"]["count"]
+    t_start = start_step(cfg.plan(), cfg.rigidity_map(), cfg["run"]["start"],
+                         cfg.perturb_schedule().alpha_t)
+    steps = sum(1 for t, _ in cfg.plan().steps_down() if t <= t_start)
+    assert steps >= 2
+    assert rows == [k] * iterations + [count] * steps
+    assert counts == {"sge_loss": k * iterations, "adam_step": k * iterations}
+
+
 def test_run_experiment_calls_stages_by_module_name(tmp_path, monkeypatch):
     import crdi.workbench.experiment as wbx
 
@@ -888,6 +921,23 @@ def test_cli_seed_out_of_range_exits_before_any_stage(tmp_path, seed):
     res = _cli("report", "--config", cfg_path, "--seed", seed, "--out", out)
     assert res.exit_code == 2, res.output
     assert "run.seed must be in" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_cli_schedule_underflow_exits_before_any_stage(tmp_path):
+    # alpha_bar[T] underflows to 0 at T = 2000 with these betas; the config
+    # cannot be built through ExperimentConfig, so its file is edited
+    _, cfg_path = _config_file(tmp_path)
+    text = cfg_path.read_text()
+    for old, new in (("T = 60", "T = 2000"), ("beta_start = 0.0001", "beta_start = 0.3"),
+                     ("beta_end = 0.02", "beta_end = 0.99")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "underflows to 0" in res.output and "Traceback" not in res.output
     assert not out.exists()
 
 
