@@ -73,13 +73,11 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         return float(((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) /
                      ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2)))
 
-    wa = sliding_window_view(a, (_WINDOW, _WINDOW))
-    wb = sliding_window_view(b, (_WINDOW, _WINDOW))
-    mu_a = np.tensordot(wa, _KERNEL, axes=((2, 3), (0, 1)))
-    mu_b = np.tensordot(wb, _KERNEL, axes=((2, 3), (0, 1)))
-    ea = np.tensordot(wa * wa, _KERNEL, axes=((2, 3), (0, 1)))
-    eb = np.tensordot(wb * wb, _KERNEL, axes=((2, 3), (0, 1)))
-    eab = np.tensordot(wa * wb, _KERNEL, axes=((2, 3), (0, 1)))
+    # The five window moments in one batched matmul, one gemv per moment; a
+    # single (5M, 121) gemv would round the remainder rows differently.
+    w = sliding_window_view(np.stack([a, b, a * a, b * b, a * b]), (_WINDOW, _WINDOW),
+                            axis=(1, 2))
+    mu_a, mu_b, ea, eb, eab = w.reshape(5, -1, _WINDOW * _WINDOW) @ _KERNEL.reshape(-1)
     va, vb = ea - mu_a ** 2, eb - mu_b ** 2
     cov = eab - mu_a * mu_b
     local = ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / \

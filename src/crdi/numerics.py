@@ -53,8 +53,25 @@ class RngStream:
         """Uniform integer in [lo, hi] inclusive."""
         if hi < lo:
             raise InvalidArgumentError(f"empty integer range [{lo}, {hi}]")
-        u = self.uniform(1)[0]
-        return lo + min(int(u * (hi - lo + 1)), hi - lo)
+        return int(int_from_uniform(self.uniform(1)[0], lo, hi))
+
+
+def int_from_uniform(u, lo: int, hi: int):
+    """Integers in [lo, hi] inclusive from uniforms u in [0, 1), elementwise."""
+    return lo + np.minimum((np.asarray(u) * (hi - lo + 1)).astype(np.int64), hi - lo)
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals per row from the last axis of u, which holds
+    2 * ((n + 1) // 2) uniforms: the radii come from the first half, the
+    angles from the second."""
+    m = (n + 1) // 2
+    # 1 - u keeps the argument of log strictly positive
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :m]))
+    # each term scales the angles itself: keeping one angle array alive
+    # through both made gaussian((128, 256)) about 7% slower
+    return np.concatenate([r * np.cos(2.0 * np.pi * u[..., m:]),
+                           r * np.sin(2.0 * np.pi * u[..., m:])], axis=-1)[..., :n]
 
 
 def gaussian(stream: RngStream, shape) -> np.ndarray:
@@ -63,13 +80,7 @@ def gaussian(stream: RngStream, shape) -> np.ndarray:
     if len(shape) == 0 or any(s < 1 for s in shape):
         raise InvalidArgumentError(f"invalid gaussian shape {shape}")
     n = int(np.prod(shape))
-    m = (n + 1) // 2
-    # 1 - u keeps the argument of log strictly positive
-    u1 = 1.0 - stream.uniform(m)
-    u2 = stream.uniform(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    return z[:n].reshape(shape)
+    return box_muller(stream.uniform(2 * ((n + 1) // 2)), n).reshape(shape)
 
 
 # Below x = -709.78, exp(-x) overflows to inf, which gives silu and its

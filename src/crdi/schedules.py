@@ -37,6 +37,13 @@ class NoiseSchedule:
         return self._sqrt_one_minus_ab[t]
 
 
+# The smallest alpha_bar[T] a schedule may reach. x0 predictions divide by
+# sqrt(alpha_bar[t]), so the fit's loss grows as 1 / alpha_bar[t] and the
+# gradient Adam squares as 1 / alpha_bar[t]; on unit-scale data at d = 256
+# the fit overflows below about 1e-150, and this floor keeps a wide margin.
+ALPHA_BAR_FLOOR = 1e-100
+
+
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced betas with cumulative-product alpha_bar."""
     if T < 2:
@@ -47,11 +54,10 @@ def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.concatenate([[1.0], np.cumprod(alpha)])
-    # x0 predictions divide by sqrt(alpha_bar[t]), so it must not underflow to 0
-    if not alpha_bar[T] > 0.0:
+    if not alpha_bar[T] >= ALPHA_BAR_FLOOR:
         raise InvalidArgumentError(
-            f"alpha_bar[T] underflows to 0: betas ({beta_start}, {beta_end}) "
-            f"are too large for T = {T}")
+            f"alpha_bar[T] = {alpha_bar[T]:.3g} is below {ALPHA_BAR_FLOOR:g}: betas "
+            f"({beta_start}, {beta_end}) are too large for T = {T}")
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
-from .numerics import AdamState, RngStream, adam_step, gaussian
+from .numerics import AdamState, RngStream, adam_step, box_muller, int_from_uniform
 from .schedules import NoiseSchedule, RigidityMap, segment_for
 
 _SGE_MAGIC = b"CRDS"
@@ -25,6 +25,11 @@ _SGE_VERSION = 1
 
 # "coupled" draws one noise for both forward targets of a draw; "independent" two.
 COUPLINGS = ("coupled", "independent")
+
+# Iterations whose draws fit_sge takes from each sample's stream in one
+# uniform call. A stream yields the same values in one call as in several,
+# and a block of sprite draws stays well under 1 MB.
+_FIT_BLOCK = 16
 
 
 _Member = namedtuple("_Member", "segments meta")
@@ -104,19 +109,18 @@ class SgeFitConfig:
 
 
 def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: int,
-             eps: np.ndarray, eps_prev: np.ndarray, g: np.ndarray,
+             x_t: np.ndarray, eps_prev: np.ndarray, g: np.ndarray,
              g_mean: np.ndarray, lam: float):
     """Reconstruction + mean-penalty loss for one (t, eps) draw.
 
-    ``eps_net`` is the frozen net's prediction at the noised state,
-    ``eps_theta(net, noise_to(schedule, x0, t, eps), t)``; it does not
-    depend on g, and the guidance shifts it by -sqrt(1 - ab_t) * g.
-    Returns (loss, grad) where grad is d loss / d g for the active segment
-    vector g. Both forward targets sit on the noising ray defined by
-    (eps, eps_prev).
+    ``x_t`` is the noised state ``noise_to(schedule, x0, t, eps)`` and
+    ``eps_net`` the frozen net's prediction there, ``eps_theta(net, x_t, t)``;
+    it does not depend on g, and the guidance shifts it by
+    -sqrt(1 - ab_t) * g. Returns (loss, grad) where grad is d loss / d g for
+    the active segment vector g. The forward targets are x_t and the state
+    noised to t - 1 by eps_prev.
     """
     a_t = schedule.sqrt_one_minus_ab(t)
-    x_t = noise_to(schedule, x0, t, eps)
     eps_hat = eps_net - a_t * g
     x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     d0 = x0_hat - x0
@@ -139,6 +143,19 @@ def fit_window(rmap: RigidityMap, schedule: NoiseSchedule) -> tuple:
     if rmap.t_hi > schedule.T:
         raise InvalidArgumentError(f"guidance window top {rmap.t_hi} above T = {schedule.T}")
     return max(rmap.t_lo, 1), rmap.t_hi
+
+
+def _draw_block(streams, block: int, d: int, coupled: bool, t_lo: int, t_hi: int):
+    """The draws of the next ``block`` fit iterations: (block, N) timesteps and
+    (block, N, d) noises eps and eps_prev. Sample i's stream gives, iteration
+    after iteration, t, then eps, then eps_prev unless coupled, in one
+    uniform call."""
+    per_noise = 2 * ((d + 1) // 2)                  # uniforms per Box-Muller noise vector
+    width = 1 + per_noise * (1 if coupled else 2)   # uniforms per iteration
+    u = np.stack([st.uniform(block * width).reshape(block, width) for st in streams], axis=1)
+    eps = box_muller(u[..., 1:1 + per_noise], d)
+    return (int_from_uniform(u[..., 0], t_lo, t_hi), eps,
+            eps if coupled else box_muller(u[..., 1 + per_noise:], d))
 
 
 def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
@@ -167,24 +184,21 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
             for _ in range(n)]
     last_loss = [0.0] * n
 
-    for _ in range(config.iterations):
-        draws = []
-        for st in streams:
-            t = st.randint(t_lo, t_hi)
-            eps = gaussian(st, (d,))
-            draws.append((t, eps, eps if coupled else gaussian(st, (d,))))
-        ts = np.array([t for t, _, _ in draws])
-        noised = noise_to(schedule, targets, ts, np.stack([eps for _, eps, _ in draws]))
-        eps_net = eps_theta(net, noised, ts)
-        for i, (t, eps, eps_prev) in enumerate(draws):
-            seg = segment_for(rmap, t)
-            g = segments[i, seg]
-            loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, eps, eps_prev,
-                                  g, mean[seg], config.lam)
-            (new_g,), adam[i][seg] = adam_step([g], [grad], adam[i][seg], config.lr)
-            segments[i, seg] = new_g
-            last_loss[i] = loss
-        mean = segments.mean(axis=0)
+    for start in range(0, config.iterations, _FIT_BLOCK):
+        ts, eps, eps_prev = _draw_block(streams, min(_FIT_BLOCK, config.iterations - start),
+                                        d, coupled, t_lo, t_hi)
+        for j in range(len(ts)):
+            noised = noise_to(schedule, targets, ts[j], eps[j])
+            eps_net = eps_theta(net, noised, ts[j])
+            for i, t in enumerate(ts[j].tolist()):
+                seg = segment_for(rmap, t)
+                g = segments[i, seg]
+                loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, noised[i],
+                                      eps_prev[j, i], g, mean[seg], config.lam)
+                (new_g,), adam[i][seg] = adam_step([g], [grad], adam[i][seg], config.lr)
+                segments[i, seg] = new_g
+                last_loss[i] = loss
+            mean = segments.mean(axis=0)
 
     meta = [{"final_loss": loss, "iterations": config.iterations} for loss in last_loss]
     return SgeSet(segments, rmap, meta, targets.copy())

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,8 +35,21 @@ _ARTIFACTS = {"config": "config.toml", "model": "model.crdn", "loss_trace": "los
 class RunManifest:
     config_hash: str
     artifacts: dict
-    timestamps: dict
+    timestamps: dict      # start, finish and each stage's wall time in seconds
+    environment: dict     # the build and threads a run's bytes reproduce under
     version: str = __version__
+
+
+def _environment() -> dict:
+    """NumPy and BLAS versions, CPU count and the BLAS thread variables as set."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # NumPy before 1.25 has no mode="dicts"
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            "threads": {var: os.environ.get(var)
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 def _input(out_dir, name: str) -> Path:
@@ -162,7 +176,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     ``failed`` marker naming the stage that raised; returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    timestamps = {"started": time.time()}
+    timestamps = {"started": time.time(), "stage_s": {}}
     stage = "setup"
     try:
         config.write(out_dir / "config.toml")
@@ -170,14 +184,16 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
         for stage, run_stage in (("train-source", prepare_source_model),
                                  ("fit-sge", fit_stage), ("generate", generate_stage),
                                  ("evaluate", evaluate_stage)):
+            t0 = time.perf_counter()
             run_stage(config, out_dir)
+            timestamps["stage_s"][stage] = time.perf_counter() - t0
     except Exception as exc:
         (out_dir / "failed").write_text(f"stage: {stage}\ncause: {exc}\n")
         raise
     timestamps["finished"] = time.time()
     artifacts = {key: str(out_dir / name) for key, name in _ARTIFACTS.items()
                  if (out_dir / name).exists()}
-    manifest = RunManifest(config.hash(), artifacts, timestamps)
+    manifest = RunManifest(config.hash(), artifacts, timestamps, _environment())
     (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2))
     return manifest
 

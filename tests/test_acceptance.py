@@ -80,13 +80,14 @@ def test_criterion_1_gradient_suite():
         g = gaussian(stream, (3,))
         g_mean = gaussian(stream, (3,))
         lam = [0.0, 1.0, 10.0][probe % 3]
-        eps_net = eps_theta(dnet, noise_to(schedule, x0, t, eps), t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
+        x_t = noise_to(schedule, x0, t, eps)
+        eps_net = eps_theta(dnet, x_t, t)
+        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g, g_mean, lam)
         k = stream.randint(0, 2)
         e = np.zeros(3)
         e[k] = h
-        lp, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
-        lm, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
+        lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g + e, g_mean, lam)
+        lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g - e, g_mean, lam)
         assert rel_ok(grad[k], (lp - lm) / (2 * h))
 
     assert time.monotonic() - t0 < 30.0

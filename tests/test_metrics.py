@@ -43,6 +43,35 @@ def test_ssim_windowed_path_used_for_large_images():
     assert ssim(a, a) == pytest.approx(1.0, abs=1e-9)
 
 
+def _tensordot_ssim(a, b):
+    """The windowed SSIM with one tensordot per window moment: the reference
+    the batched moments in ssim must match bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from crdi.metrics import _C1, _C2, _KERNEL
+    wa = sliding_window_view(a, _KERNEL.shape)
+    wb = sliding_window_view(b, _KERNEL.shape)
+    mu_a = np.tensordot(wa, _KERNEL, axes=((2, 3), (0, 1)))
+    mu_b = np.tensordot(wb, _KERNEL, axes=((2, 3), (0, 1)))
+    ea = np.tensordot(wa * wa, _KERNEL, axes=((2, 3), (0, 1)))
+    eb = np.tensordot(wb * wb, _KERNEL, axes=((2, 3), (0, 1)))
+    eab = np.tensordot(wa * wb, _KERNEL, axes=((2, 3), (0, 1)))
+    va, vb = ea - mu_a ** 2, eb - mu_b ** 2
+    cov = eab - mu_a * mu_b
+    local = ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / \
+            ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2))
+    return float(local.mean())
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 17), (20, 17), (32, 32), (64, 64)])
+def test_ssim_matches_per_moment_tensordot(shape):
+    stream = RngStream(9, f"ssim{shape}")
+    for _ in range(3):
+        a = stream.uniform(shape[0] * shape[1]).reshape(shape)
+        b = np.clip(a + 0.3 * gaussian(stream, shape), 0.0, 1.0)
+        assert ssim(a, b) == _tensordot_ssim(a, b)
+
+
 def test_ssim_validation():
     with pytest.raises(ShapeError):
         ssim(np.zeros((4, 4)), np.zeros((4, 5)))

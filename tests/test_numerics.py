@@ -66,6 +66,28 @@ def test_gaussian_moments_large_sample():
     assert 0.96 < z.var() < 1.04
 
 
+def _two_call_gaussian(stream, shape):
+    """Box-Muller as two uniform calls, radii then angles: the reference
+    gaussian must match in value and stream position."""
+    n = int(np.prod(shape))
+    m = (n + 1) // 2
+    u1 = 1.0 - stream.uniform(m)
+    u2 = stream.uniform(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    return z[:n].reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (257,), (256,), (3, 5), (4, 4), (2, 3, 3)])
+def test_gaussian_matches_two_call_box_muller(shape):
+    new, ref = RngStream(21, "bm"), RngStream(21, "bm")
+    z = gaussian(new, shape)
+    assert z.shape == shape
+    assert z.tobytes() == _two_call_gaussian(ref, shape).tobytes()
+    assert new.counter == ref.counter
+    assert new.uniform(3).tobytes() == ref.uniform(3).tobytes()
+
+
 def test_gaussian_empty_shape_rejected():
     with pytest.raises(InvalidArgumentError):
         gaussian(RngStream(0), ())

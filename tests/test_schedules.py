@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdi.errors import InvalidArgumentError, OutOfRangeError
-from crdi.schedules import (InferencePlan, PerturbationSchedule, RigidityMap,
-                            gamma, linear_schedule, make_plan, segment_for)
+from crdi.schedules import (ALPHA_BAR_FLOOR, InferencePlan, PerturbationSchedule,
+                            RigidityMap, gamma, linear_schedule, make_plan, segment_for)
 
 
 # ---------------------------------------------------------------- schedule
@@ -54,10 +54,13 @@ def test_schedule_argument_validation():
 
 
 def test_schedule_rejects_alpha_bar_underflow():
-    # x0 predictions divide by sqrt(alpha_bar[t]); at T = 2000 these betas drive it to 0
-    with pytest.raises(InvalidArgumentError, match=r"alpha_bar\[T\] underflows to 0"):
+    # x0 predictions divide by sqrt(alpha_bar[t]); at T = 2000 these betas drive
+    # it to 0, and at T = 100,000 the default betas to a subnormal 1.2e-322
+    with pytest.raises(InvalidArgumentError, match=r"alpha_bar\[T\] = 0 is below 1e-100"):
         linear_schedule(2000, 0.3, 0.99)
-    assert linear_schedule(100_000, 1e-4, 0.02).alpha_bar[-1] > 0.0
+    with pytest.raises(InvalidArgumentError, match=r"alpha_bar\[T\] = 1.19e-322 is below"):
+        linear_schedule(100_000, 1e-4, 0.02)
+    assert linear_schedule(22_000, 1e-4, 0.02).alpha_bar[-1] >= ALPHA_BAR_FLOOR
 
 
 # ---------------------------------------------------------------- plan

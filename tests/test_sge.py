@@ -10,7 +10,7 @@ from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, noise_to, \
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
 from crdi.numerics import AdamState, Mlp, RngStream, adam_step, gaussian, mlp_forward
 from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule, segment_for
-from crdi.sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
+from crdi.sge import (_FIT_BLOCK, SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
                       save_sge, sge_loss)
 
 
@@ -75,8 +75,9 @@ def test_loss_zero_for_perfect_guidance(sched):
     t = 20
     eps = gaussian(RngStream(2, "eps"), (2,))
     g = -eps / sched.sqrt_one_minus_ab(t)
-    eps_net = eps_theta(net, noise_to(sched, x0, t, eps), t)
-    loss, grad = sge_loss(eps_net, sched, x0, t, eps, eps, g, g, lam=1.0)
+    x_t = noise_to(sched, x0, t, eps)
+    eps_net = eps_theta(net, x_t, t)
+    loss, grad = sge_loss(eps_net, sched, x0, t, x_t, eps, g, g, lam=1.0)
     assert loss == pytest.approx(0.0, abs=1e-18)
 
 
@@ -86,9 +87,10 @@ def test_penalty_vanishes_at_mean(sched, tiny_ring):
     x0 = np.array([1.0, 0.0])
     g = np.array([0.3, -0.7])
     eps = gaussian(RngStream(3, "eps"), (2,))
-    eps_net = eps_theta(net, noise_to(schedule, x0, 12, eps), 12)
-    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, eps, eps, g, g, lam=100.0)
-    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, eps, eps, g, g, lam=0.0)
+    x_t = noise_to(schedule, x0, 12, eps)
+    eps_net = eps_theta(net, x_t, 12)
+    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, x_t, eps, g, g, lam=100.0)
+    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, x_t, eps, g, g, lam=0.0)
     assert loss_eq == pytest.approx(loss_zero, rel=1e-12)
 
 
@@ -104,13 +106,14 @@ def test_loss_gradient_matches_finite_differences(tiny_ring):
         g = gaussian(stream, (2,))
         g_mean = gaussian(stream, (2,))
         lam = [0.0, 1.0, 10.0][probe % 3]
-        eps_net = eps_theta(net, noise_to(schedule, x0, t, eps), t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g, g_mean, lam)
+        x_t = noise_to(schedule, x0, t, eps)
+        eps_net = eps_theta(net, x_t, t)
+        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g, g_mean, lam)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            lp, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g + e, g_mean, lam)
-            lm, _ = sge_loss(eps_net, schedule, x0, t, eps, eps_prev, g - e, g_mean, lam)
+            lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g + e, g_mean, lam)
+            lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g - e, g_mean, lam)
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -267,8 +270,9 @@ def test_one_dimensional_brute_force_oracle():
     for _ in range(600):
         grad = np.zeros(1)
         for t, eps in draws:
-            eps_net = eps_theta(net, noise_to(sched1, x0, t, eps), t)
-            _, gi = sge_loss(eps_net, sched1, x0, t, eps, eps, g, g, lam=0.0)
+            x_t = noise_to(sched1, x0, t, eps)
+            eps_net = eps_theta(net, x_t, t)
+            _, gi = sge_loss(eps_net, sched1, x0, t, x_t, eps, g, g, lam=0.0)
             grad += gi
         (g,), state = adam_step([g], [grad], state, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
@@ -326,7 +330,7 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
                               np.concatenate([x_t, time_features(ts, net.T)], axis=-1))
         for i, t in enumerate(ts.tolist()):
             seg = segment_for(rmap, t)
-            losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, eps[i],
+            losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, x_t[i],
                                        eps_prev[i], segments[i, seg], mean[seg], config.lam)
             state = states.get((i, seg), AdamState.for_params([np.zeros(d)]))
             (segments[i, seg],), states[i, seg] = adam_step(
@@ -337,15 +341,21 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
 
 @pytest.mark.parametrize("coupling", ["coupled", "independent"])
 def test_fit_matches_batched_reference(tiny_ring, coupling):
+    # fit_sge draws each stream in blocks of iterations; 120 and 45 iterations
+    # end on a partial block, and d = 3 drops the last Box-Muller normal
     schedule, net, _, _ = tiny_ring
     targets = np.array([[1.8, 0.4], [-0.6, 1.5], [0.2, -1.9], [0.0, 0.7]])
+    odd_net = NoiseNet.init(3, schedule.T, [16, 16], RngStream(19, "net")).freeze()
+    odd_targets = np.concatenate([targets, [[0.3], [-1.1], [0.8], [1.4]]], axis=1)
     rmap = RigidityMap(eta=4, t_lo=0, t_hi=schedule.T)
-    config = SgeFitConfig(lr=0.05, iterations=120, lam=0.5, coupling=coupling)
-    fitted = fit_sge(net, schedule, targets, rmap, config, RngStream(18, "fit"))
-    segments, losses = _batched_fit_reference(net, schedule, targets, rmap, config,
-                                              RngStream(18, "fit"))
-    assert fitted.segments.tobytes() == segments.tobytes()
-    assert [m["final_loss"] for m in fitted.meta] == losses
+    for fit_net, fit_targets, iterations in ((net, targets, 120), (odd_net, odd_targets, 45)):
+        assert iterations % _FIT_BLOCK != 0
+        config = SgeFitConfig(lr=0.05, iterations=iterations, lam=0.5, coupling=coupling)
+        fitted = fit_sge(fit_net, schedule, fit_targets, rmap, config, RngStream(18, "fit"))
+        segments, losses = _batched_fit_reference(fit_net, schedule, fit_targets, rmap, config,
+                                                  RngStream(18, "fit"))
+        assert fitted.segments.tobytes() == segments.tobytes()
+        assert [m["final_loss"] for m in fitted.meta] == losses
 
 
 # ---------------------------------------------------------------- file IO

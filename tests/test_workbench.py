@@ -258,7 +258,9 @@ def test_hidden_widths_parse_positive_integers():
 def test_config_schedule_and_train_bounds(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
-    ExperimentConfig.defaults(schedule__T=100_000, train__steps=1)
+    # T = 100,000 is the accepted edge with betas that keep alpha_bar[T] above its floor
+    ExperimentConfig.defaults(schedule__T=100_000, schedule__beta_start=1e-6,
+                              schedule__beta_end=1e-5, train__steps=1)
 
 
 @pytest.mark.parametrize("param,good,bad", [
@@ -465,6 +467,24 @@ def test_run_experiment_artifacts(tmp_path):
     assert np.isfinite(report["frechet"])
     manifest_json = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest_json["config_hash"] == cfg.hash()
+
+
+def test_manifest_records_stage_times_and_environment(tmp_path, monkeypatch):
+    from crdi.workbench.experiment import run_experiment
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    run_experiment(_fast_config(), tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    times = manifest["timestamps"]
+    assert list(times["stage_s"]) == ["train-source", "fit-sge", "generate", "evaluate"]
+    assert all(s > 0 for s in times["stage_s"].values())
+    assert sum(times["stage_s"].values()) <= times["finished"] - times["started"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+        "cpu_count": os.cpu_count(),
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}}
 
 
 def test_run_experiment_batches_net_calls(tmp_path, monkeypatch):
@@ -937,7 +957,22 @@ def test_cli_schedule_underflow_exits_before_any_stage(tmp_path):
     out = tmp_path / "out"
     res = _cli("report", "--config", cfg_path, "--out", out)
     assert res.exit_code == 2, res.output
-    assert "underflows to 0" in res.output and "Traceback" not in res.output
+    assert "alpha_bar[T] = 0 is below" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_cli_subnormal_schedule_exits_before_any_stage(tmp_path):
+    # the default betas leave alpha_bar[T] = 1.2e-322 at T = 100,000: above 0,
+    # but the fit near T would overflow
+    _, cfg_path = _config_file(tmp_path)
+    text = cfg_path.read_text()
+    assert "T = 60" in text
+    cfg_path.write_text(text.replace("T = 60", "T = 100000"))
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "alpha_bar[T] = 1.19e-322 is below" in res.output
+    assert "Traceback" not in res.output
     assert not out.exists()
 
 
