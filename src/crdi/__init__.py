@@ -12,6 +12,6 @@ from .diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                         save_checkpoint, score_from_noise, train_source)
 from .sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge, save_sge,
                   sge_loss)
-from .sampler import GenerationRequest, generate, perturb_guidance, reconstruct
+from .sampler import generate, perturb_guidance, reconstruct
 from .metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
                       mc_ssim, ssim)

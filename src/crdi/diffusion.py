@@ -8,7 +8,8 @@ import numpy as np
 
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
-from .numerics import AdamState, Mlp, RngStream, adam_step, gaussian, mlp_backward, mlp_forward
+from .numerics import (AdamState, Mlp, RngStream, adam_step, gaussian, int_from_uniform,
+                       mlp_backward, mlp_forward)
 from .schedules import NoiseSchedule
 
 TIME_EMBED_DIM = 32
@@ -166,8 +167,8 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     trace = np.zeros(config.steps)
 
     for step in range(config.steps):
-        idx = (stream.uniform(config.batch) * n).astype(np.int64).clip(0, n - 1)
-        t = 1 + (stream.uniform(config.batch) * schedule.T).astype(np.int64).clip(0, schedule.T - 1)
+        idx = int_from_uniform(stream.uniform(config.batch), 0, n - 1)
+        t = int_from_uniform(stream.uniform(config.batch), 1, schedule.T)
         x0 = dataset[idx]
         eps = gaussian(stream, (config.batch, net.d))
         x_t = noise_to(schedule, x0, t, eps)

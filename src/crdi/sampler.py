@@ -2,8 +2,6 @@
 diversity-enhanced sampling with the annealed perturbed SGE."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffusion import NoiseNet, ddim_step, noise_to
@@ -15,30 +13,6 @@ from .sge import SgeSet, guided_noise
 
 GUIDANCE = ("per-sample", "mean")
 STARTS = ("noised", "prior")
-
-
-@dataclass
-class GenerationRequest:
-    """One generation task.
-
-    ``guidance`` selects per-sample embeddings (uniform random choice per
-    output) or the set-wise mean; ``start`` is "noised" (a target noised
-    to the annealing start) or "prior" (pure noise at the plan's top).
-    """
-
-    perturb: PerturbationSchedule
-    plan: InferencePlan
-    stream: RngStream
-    guidance: str = "per-sample"
-    start: str = "noised"
-    start_sample: int | None = None   # forced reference sample for "noised"
-    count: int = 1
-
-    def __post_init__(self):
-        check_choice("guidance", self.guidance, GUIDANCE)
-        check_choice("start", self.start, STARTS)
-        if self.count < 1:
-            raise InvalidArgumentError("count must be >= 1")
 
 
 def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
@@ -74,15 +48,14 @@ def start_step(plan: InferencePlan, rmap: RigidityMap, start: str, alpha_t: int)
 
 
 def _run_chains(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
-                rows: np.ndarray | None, rmap: RigidityMap, targets: np.ndarray | None,
+                rows: np.ndarray, rmap: RigidityMap, targets: np.ndarray | None,
                 t_start: int, plan: InferencePlan, sched: PerturbationSchedule | None,
                 streams: list) -> np.ndarray:
     """Reverse chains, one per stream, advanced together as one (m, d) state
     from plan step t_start, as ``start_step`` gives it, down to 0.
 
-    Chain j is guided by ``segments[rows[j]]`` out of an (N, eta, d) array,
-    or, when rows is None, every chain by the one (eta, d) ``segments``. Its
-    start state is ``targets[j]`` noised to t_start, or pure noise when
+    Chain j is guided by ``segments[rows[j]]`` out of an (N, eta, d) array.
+    Its start state is ``targets[j]`` noised to t_start, or pure noise when
     targets is None; that noise is the first draw from ``streams[j]``, and
     the chain's perturbations follow on the same stream, one per step.
     sched None guides every step with the fitted segments, unperturbed. The
@@ -98,51 +71,53 @@ def _run_chains(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
         t, t_prev = int(t), int(t_prev)
         if t > t_start:
             continue
-        seg = segment_for(rmap, t)
-        g = segments[seg] if rows is None else segments[rows, seg]
+        g = segments[rows, segment_for(rmap, t)]
         if sched is not None:
-            g = np.stack([perturb_guidance(gj, t, sched, st)
-                          for gj, st in zip(np.broadcast_to(g, x.shape), streams)])
+            g = np.stack([perturb_guidance(gj, t, sched, st) for gj, st in zip(g, streams)])
         x = ddim_step(schedule, x, t, t_prev, guided_noise(net, schedule, x, t, g))
     return x
 
 
-def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
-             request: GenerationRequest) -> np.ndarray:
+def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet, *,
+             perturb: PerturbationSchedule, plan: InferencePlan, stream: RngStream,
+             count: int = 1, guidance: str = "per-sample", start: str = "noised",
+             start_sample: int | None = None) -> np.ndarray:
     """Run `count` independent guided reverse chains; returns (count, d).
 
-    Chain j draws from ``request.stream.child(f"out{j}")``: its embedding
-    choice (per-sample guidance without ``start_sample``), its start target
-    choice (a "noised" start under mean guidance without ``start_sample``),
-    its start noise, then one perturbation per perturbed step.
+    ``guidance`` guides each chain by one per-sample embedding or by the
+    set-wise mean; ``start`` is "noised" (a target noised to the annealing
+    start) or "prior" (pure noise at the plan's top). Chain j draws from
+    ``stream.child(f"out{j}")``: a sample index, uniform over the set, which
+    picks its embedding under per-sample guidance and its start target under
+    a noised start (none is drawn when ``start_sample`` fixes it, or under
+    mean guidance from the prior); then its start noise, then one
+    perturbation per perturbed step.
     """
-    plan = request.plan
+    check_choice("guidance", guidance, GUIDANCE)
+    check_choice("start", start, STARTS)
+    if count < 1:
+        raise InvalidArgumentError("count must be >= 1")
     n = len(sge_set)
-    if request.start_sample is not None and not (0 <= request.start_sample < n):
-        raise InvalidArgumentError(f"unknown sample id {request.start_sample}")
-    if request.start == "noised" and sge_set.targets is None:
+    if start_sample is not None and not (0 <= start_sample < n):
+        raise InvalidArgumentError(f"unknown sample id {start_sample}")
+    if start == "noised" and sge_set.targets is None:
         raise InvalidArgumentError("noised start requires targets on the SgeSet")
-    t_start = start_step(plan, sge_set.rmap, request.start, request.perturb.alpha_t)
+    t_start = start_step(plan, sge_set.rmap, start, perturb.alpha_t)
 
-    mean = request.guidance == "mean"
-    streams = [request.stream.child(f"out{j}") for j in range(request.count)]
-    choices, starts = [], []
-    for st in streams:
-        i = request.start_sample
-        if i is None and not mean:
-            i = st.randint(0, n - 1)
-            choices.append(i)
-        if request.start == "noised":
-            starts.append(i if i is not None else st.randint(0, n - 1))
-    if mean:
-        segments, rows = sge_set.mean_segments, None
-    elif choices:
-        segments, rows = sge_set.segments, np.array(choices)
+    streams = [stream.child(f"out{j}") for j in range(count)]
+    if start_sample is not None:
+        picks = np.full(count, start_sample)
+    elif guidance == "per-sample" or start == "noised":
+        picks = np.array([st.randint(0, n - 1) for st in streams])
+    else:   # mean guidance from the prior uses no sample
+        picks = np.zeros(count, dtype=np.int64)
+    if guidance == "mean":
+        segments, rows = sge_set.mean_segments[None], np.zeros(count, dtype=np.int64)
     else:
-        segments, rows = sge_set.segments[request.start_sample], None
-    targets = sge_set.targets[starts] if request.start == "noised" else None
+        segments, rows = sge_set.segments, picks
+    targets = sge_set.targets[picks] if start == "noised" else None
     return _run_chains(net, schedule, segments, rows, sge_set.rmap, targets, t_start,
-                       plan, request.perturb, streams)
+                       plan, perturb, streams)
 
 
 def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
@@ -159,7 +134,7 @@ def reconstruct(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet,
     if sge_set.targets is None:
         raise InvalidArgumentError("reconstruct requires targets on the SgeSet")
     t_start = start_step(plan, sge_set.rmap, "noised", alpha_t)
-    x = _run_chains(net, schedule, sge_set.segments[sample_id], None, sge_set.rmap,
+    x = _run_chains(net, schedule, sge_set.segments, np.array([sample_id]), sge_set.rmap,
                     sge_set.targets[sample_id:sample_id + 1], t_start, plan, None,
                     [stream.child("out0")])
     return x[0]

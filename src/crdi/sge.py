@@ -109,7 +109,7 @@ class SgeFitConfig:
 
 
 def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: int,
-             x_t: np.ndarray, eps_prev: np.ndarray, g: np.ndarray,
+             x_t: np.ndarray, x_prev: np.ndarray, g: np.ndarray,
              g_mean: np.ndarray, lam: float):
     """Reconstruction + mean-penalty loss for one (t, eps) draw.
 
@@ -117,14 +117,14 @@ def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: in
     ``eps_net`` the frozen net's prediction there, ``eps_theta(net, x_t, t)``;
     it does not depend on g, and the guidance shifts it by
     -sqrt(1 - ab_t) * g. Returns (loss, grad) where grad is d loss / d g for
-    the active segment vector g. The forward targets are x_t and the state
-    noised to t - 1 by eps_prev.
+    the active segment vector g. The forward targets are x_t and ``x_prev``,
+    the state ``noise_to(schedule, x0, t - 1, eps_prev)``; neither depends on g.
     """
     a_t = schedule.sqrt_one_minus_ab(t)
     eps_hat = eps_net - a_t * g
     x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     d0 = x0_hat - x0
-    dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - noise_to(schedule, x0, t - 1, eps_prev)
+    dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - x_prev
     dg = g - g_mean
     loss = float(d0 @ d0 + dp @ dp + lam * (dg @ dg))
     if not np.isfinite(loss):
@@ -189,12 +189,13 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
                                         d, coupled, t_lo, t_hi)
         for j in range(len(ts)):
             noised = noise_to(schedule, targets, ts[j], eps[j])
+            prev = noise_to(schedule, targets, ts[j] - 1, eps_prev[j])
             eps_net = eps_theta(net, noised, ts[j])
             for i, t in enumerate(ts[j].tolist()):
                 seg = segment_for(rmap, t)
                 g = segments[i, seg]
                 loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, noised[i],
-                                      eps_prev[j, i], g, mean[seg], config.lam)
+                                      prev[i], g, mean[seg], config.lam)
                 (new_g,), adam[i][seg] = adam_step([g], [grad], adam[i][seg], config.lr)
                 segments[i, seg] = new_g
                 last_loss[i] = loss

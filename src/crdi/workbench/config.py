@@ -275,9 +275,12 @@ class ExperimentConfig:
         return DomainSpec.make(sec["kind"], seed=self.values["run"]["seed"] * 2 + tag, **params)
 
     def hidden_widths(self) -> list:
-        """train.hidden as layer widths; "" is a linear net."""
+        """train.hidden as layer widths; a blank string is a linear net, and
+        no item may be empty."""
         hidden = self.values["train"]["hidden"]
-        widths = [w.strip() for w in hidden.split(",") if w.strip()]
+        if not hidden.strip():
+            return []
+        widths = [w.strip() for w in hidden.split(",")]
         if not all(w.isdecimal() and int(w) > 0 for w in widths):
             raise ConfigError(f"train.hidden {hidden!r} must be comma-separated "
                               "positive integers")

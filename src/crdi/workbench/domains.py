@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..numerics import RngStream, gaussian
+from ..numerics import RngStream, gaussian, int_from_uniform
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def typed_like(default, val):
 
 
 def _ring(count, stream, *, components, radius, rotation, center_x, center_y, noise_std):
-    modes = (stream.uniform(count) * components).astype(np.int64).clip(0, components - 1)
+    modes = int_from_uniform(stream.uniform(count), 0, components - 1)
     ang = rotation + 2.0 * np.pi * modes / components
     centers = np.stack([center_x + radius * np.cos(ang), center_y + radius * np.sin(ang)], axis=1)
     return centers + noise_std * gaussian(stream, (count, 2))

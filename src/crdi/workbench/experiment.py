@@ -18,7 +18,7 @@ from ..diffusion import NoiseNet, load_checkpoint, save_checkpoint, train_source
 from ..errors import ConfigError
 from ..metrics import MetricsReport, frechet, intra_diversity, mc_ssim, ssim
 from ..numerics import RngStream
-from ..sampler import GenerationRequest, generate, reconstruct
+from ..sampler import generate, reconstruct
 from ..sge import SgeSet, fit_sge, load_sge, save_sge
 from .config import ExperimentConfig
 from .domains import flatten, sample_shape, synth_domain
@@ -130,10 +130,9 @@ def generate_stage(config: ExperimentConfig, out_dir: Path) -> np.ndarray:
     for image domains, a samples.pgm contact sheet."""
     net, sge_set = load_fitted(config, out_dir)
     run = config["run"]
-    request = GenerationRequest(guidance=run["guidance"], start=run["start"],
-                                perturb=config.perturb_schedule(), plan=config.plan(),
-                                count=run["count"], stream=RngStream(run["seed"], "generate"))
-    samples = generate(net, config.schedule(), sge_set, request)
+    samples = generate(net, config.schedule(), sge_set, perturb=config.perturb_schedule(),
+                       plan=config.plan(), stream=RngStream(run["seed"], "generate"),
+                       count=run["count"], guidance=run["guidance"], start=run["start"])
     write_tensor(out_dir / "samples.crdt", samples)
     tgt_spec = config.domain_spec("target")
     if tgt_spec.kind == "sprite-images":
@@ -173,9 +172,13 @@ def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path
 def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     """Full pipeline for one configuration: the four stages in order, each
     reading only the files the stages before it wrote to out_dir. Writes a
-    ``failed`` marker naming the stage that raised; returns the manifest."""
+    ``failed`` marker naming the stage that raised, or manifest.json once all
+    four succeed; an earlier run's marker and manifest go first. Returns the
+    manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("failed", "manifest.json"):
+        (out_dir / stale).unlink(missing_ok=True)
     timestamps = {"started": time.time(), "stage_s": {}}
     stage = "setup"
     try:

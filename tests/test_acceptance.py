@@ -14,7 +14,7 @@ from crdi.diffusion import ddim_step, eps_theta, noise_to, predict_x0, \
     noise_from_score, score_from_noise
 from crdi.metrics import frechet, mc_ssim, ssim
 from crdi.numerics import Mlp, RngStream, gaussian, mlp_backward, mlp_forward
-from crdi.sampler import GenerationRequest, generate, reconstruct
+from crdi.sampler import generate, reconstruct
 from crdi.schedules import (PerturbationSchedule, RigidityMap, gamma,
                             linear_schedule, make_plan)
 from crdi.sge import SgeFitConfig, SgeSet, fit_sge, sge_loss
@@ -81,13 +81,14 @@ def test_criterion_1_gradient_suite():
         g_mean = gaussian(stream, (3,))
         lam = [0.0, 1.0, 10.0][probe % 3]
         x_t = noise_to(schedule, x0, t, eps)
+        x_prev = noise_to(schedule, x0, t - 1, eps_prev)
         eps_net = eps_theta(dnet, x_t, t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g, g_mean, lam)
+        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g, g_mean, lam)
         k = stream.randint(0, 2)
         e = np.zeros(3)
         e[k] = h
-        lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g + e, g_mean, lam)
-        lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g - e, g_mean, lam)
+        lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g + e, g_mean, lam)
+        lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g - e, g_mean, lam)
         assert rel_ok(grad[k], (lp - lm) / (2 * h))
 
     assert time.monotonic() - t0 < 30.0
@@ -126,11 +127,11 @@ def test_criterion_3_reduction_suite(tiny_ring):
     schedule, net, _, _ = tiny_ring
     plan = make_plan(schedule, 15)
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=schedule.T)
-    request = GenerationRequest(
+    samples = generate(
+        net, schedule, SgeSet.zeros(2, 2, rmap),
         guidance="per-sample", start="prior",
         perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
         plan=plan, count=4, stream=RngStream(300, "gen"))
-    samples = generate(net, schedule, SgeSet.zeros(2, 2, rmap), request)
     x = []
     for j in range(4):
         st = RngStream(300, "gen").child(f"out{j}")

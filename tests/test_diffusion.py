@@ -10,7 +10,7 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
 from crdi.numerics import (AdamState, RngStream, adam_step, gaussian,
                            mlp_backward, mlp_forward)
-from crdi.sampler import GenerationRequest, generate
+from crdi.sampler import generate
 from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
 from crdi.sge import SgeSet
 from crdi.schedules import RigidityMap
@@ -239,11 +239,11 @@ def test_single_point_dataset_concentrates():
                           TrainConfig(steps=800, batch=32, lr=3e-3),
                           RngStream(1, "train"))
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=50)
-    request = GenerationRequest(
+    samples = generate(
+        net, schedule, SgeSet.zeros(1, 2, rmap),
         guidance="mean", start="prior",
         perturb=PerturbationSchedule(alpha_t=50, beta_t=25, s=0.0),
         plan=make_plan(schedule, 15), count=32, stream=RngStream(1, "gen"))
-    samples = generate(net, schedule, SgeSet.zeros(1, 2, rmap), request)
     dists = np.linalg.norm(samples - point, axis=1)
     assert dists.mean() < 0.5
 
@@ -335,11 +335,11 @@ def test_trained_model_moments(tiny_ring):
     stream = RngStream(9, "chains")
     plan = make_plan(schedule, 25)
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=schedule.T)
-    request = GenerationRequest(
+    ddim_samples = generate(
+        net, schedule, SgeSet.zeros(1, 2, rmap),
         guidance="mean", start="prior",
         perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
         plan=plan, count=64, stream=stream.child("ddim"))
-    ddim_samples = generate(net, schedule, SgeSet.zeros(1, 2, rmap), request)
     anc = np.array([_ancestral_chain(net, schedule, stream.child(f"anc{i}"))
                     for i in range(64)])
     ref_var = dataset.var(axis=0)

@@ -6,8 +6,7 @@ import pytest
 from crdi.diffusion import ddim_step, eps_theta, noise_to
 from crdi.errors import InvalidArgumentError
 from crdi.numerics import RngStream, gaussian
-from crdi.sampler import (GenerationRequest, generate, perturb_guidance,
-                          reconstruct, start_step)
+from crdi.sampler import generate, perturb_guidance, reconstruct, start_step
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
                             make_plan, segment_for)
 from crdi.sge import SgeFitConfig, SgeSet, fit_sge, guided_noise
@@ -55,9 +54,8 @@ def test_zero_sge_prior_start_equals_unconditional_chain(tiny_ring):
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=schedule.T)
     sched = PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0)
     stream = RngStream(4, "gen")
-    request = GenerationRequest(guidance="per-sample", start="prior",
-                                perturb=sched, plan=plan, count=3, stream=stream)
-    samples = generate(net, schedule, SgeSet.zeros(2, 2, rmap), request)
+    samples = generate(net, schedule, SgeSet.zeros(2, 2, rmap), guidance="per-sample",
+                       start="prior", perturb=sched, plan=plan, count=3, stream=stream)
 
     x = []
     for j in range(3):
@@ -77,22 +75,20 @@ def test_generate_requires_frozen_net(tiny_ring):
     from crdi.numerics import Mlp
     net = NoiseNet(backbone=Mlp.zeros([34, 2]), d=2, T=schedule.T)
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=schedule.T)
-    request = GenerationRequest(
-        start="prior", perturb=PerturbationSchedule(alpha_t=50, beta_t=1, s=0.0),
-        plan=make_plan(schedule, 5), count=1, stream=RngStream(0))
     with pytest.raises(InvalidArgumentError):
-        generate(net, schedule, SgeSet.zeros(1, 2, rmap), request)
+        generate(net, schedule, SgeSet.zeros(1, 2, rmap),
+                 start="prior", perturb=PerturbationSchedule(alpha_t=50, beta_t=1, s=0.0),
+                 plan=make_plan(schedule, 5), count=1, stream=RngStream(0))
 
 
 def test_window_must_cover_guided_steps(tiny_ring):
     schedule, net, _, _ = tiny_ring
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=10)  # far below the start step
-    request = GenerationRequest(
-        start="prior",
-        perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
-        plan=make_plan(schedule, 10), count=1, stream=RngStream(5, "gen"))
     with pytest.raises(InvalidArgumentError):
-        generate(net, schedule, SgeSet.zeros(1, 2, rmap), request)
+        generate(net, schedule, SgeSet.zeros(1, 2, rmap),
+                 start="prior",
+                 perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
+                 plan=make_plan(schedule, 10), count=1, stream=RngStream(5, "gen"))
 
 
 def test_request_validation():
@@ -101,7 +97,7 @@ def test_request_validation():
     for bad, message in ((dict(count=0), "count"), (dict(guidance="Mean"), "guidance 'Mean'"),
                          (dict(start="nosied"), "start 'nosied'")):
         with pytest.raises(InvalidArgumentError, match=message):
-            GenerationRequest(**required, **bad)
+            generate(None, None, None, **required, **bad)
 
 
 # ------------------------------------------------------------ reconstruct
@@ -121,12 +117,11 @@ def fitted_tiny(tiny_ring):
 @pytest.mark.parametrize("start_sample", [5, -1])
 def test_generate_rejects_unknown_start_sample(fitted_tiny, guidance, start_sample):
     schedule, net, sge_set = fitted_tiny  # three samples
-    request = GenerationRequest(
-        guidance=guidance, start="noised", start_sample=start_sample,
-        perturb=PerturbationSchedule(alpha_t=40, beta_t=20, s=0.1),
-        plan=make_plan(schedule, 10), count=2, stream=RngStream(11, "gen"))
     with pytest.raises(InvalidArgumentError, match="unknown sample id"):
-        generate(net, schedule, sge_set, request)
+        generate(net, schedule, sge_set,
+                 guidance=guidance, start="noised", start_sample=start_sample,
+                 perturb=PerturbationSchedule(alpha_t=40, beta_t=20, s=0.1),
+                 plan=make_plan(schedule, 10), count=2, stream=RngStream(11, "gen"))
 
 
 def test_reconstruct_deterministic(fitted_tiny):
@@ -179,7 +174,7 @@ def test_reconstruct_guides_every_step_from_alpha_t(fitted_tiny, monkeypatch):
                 alpha_t=38)
     assert [t for t, _ in calls] == [33, 28, 22, 17, 11, 6]
     for t, g in calls:
-        np.testing.assert_array_equal(g, sge_set.segments[1, segment_for(sge_set.rmap, t)])
+        np.testing.assert_array_equal(g, sge_set.segments[[1], segment_for(sge_set.rmap, t)])
 
 
 def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
@@ -206,23 +201,36 @@ def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     assert abs(out[0] - target[0]) < 1e-10
 
 
-@pytest.mark.parametrize("guidance", ["per-sample", "mean"])
-def test_generate_draw_order_per_chain(fitted_tiny, guidance):
+@pytest.mark.parametrize("guidance, start, start_sample", [
+    pytest.param("per-sample", "noised", None, id="per-sample"),
+    pytest.param("mean", "noised", None, id="mean"),
+    pytest.param("mean", "prior", None, id="mean-prior"),
+    pytest.param("per-sample", "noised", 1, id="per-sample-start_sample"),
+])
+def test_generate_draw_order_per_chain(fitted_tiny, guidance, start, start_sample):
     # chain j draws from its own stream: the embedding choice (per-sample) or
-    # the start target choice (mean), the start noise, then one perturbation
-    # per perturbed step; the chains then advance as one batch
+    # the start target choice (mean), unless start_sample fixes it or mean
+    # guidance from the prior needs none, the start noise, then one
+    # perturbation per perturbed step; the chains then advance as one batch
     schedule, net, sge_set = fitted_tiny
     plan = make_plan(schedule, 15)
     sched = PerturbationSchedule(alpha_t=40, beta_t=20, s=0.3)
-    request = GenerationRequest(guidance=guidance, start="noised", perturb=sched,
-                                plan=plan, count=5, stream=RngStream(12, "gen"))
-    samples = generate(net, schedule, sge_set, request)
+    samples = generate(net, schedule, sge_set, guidance=guidance, start=start,
+                       start_sample=start_sample, perturb=sched, plan=plan, count=5,
+                       stream=RngStream(12, "gen"))
 
-    t_start = start_step(plan, sge_set.rmap, "noised", sched.alpha_t)
+    t_start = start_step(plan, sge_set.rmap, start, sched.alpha_t)
     streams = [RngStream(12, "gen").child(f"out{j}") for j in range(5)]
-    choice = [st.randint(0, 2) for st in streams]
-    x = np.stack([noise_to(schedule, sge_set.targets[i], t_start, gaussian(st, (2,)))
-                  for i, st in zip(choice, streams)])
+    if start_sample is not None:
+        choice = [start_sample] * 5
+    elif guidance == "mean" and start == "prior":
+        choice = [None] * 5
+    else:
+        choice = [st.randint(0, 2) for st in streams]
+    x = np.stack([gaussian(st, (2,)) for st in streams])
+    if start == "noised":
+        x = np.stack([noise_to(schedule, sge_set.targets[i], t_start, xj)
+                      for i, xj in zip(choice, x)])
     own = [sge_set.mean_segments if guidance == "mean" else sge_set.segments[i]
            for i in choice]
     perturbed = 0
@@ -254,10 +262,9 @@ def test_perturbation_scale_orders_diversity(fitted_tiny):
     def spread(s):
         # one shared start target isolates the perturbation's contribution
         sched = PerturbationSchedule(alpha_t=schedule.T, beta_t=30, s=s)
-        request = GenerationRequest(guidance="per-sample", start="noised",
-                                    start_sample=0, perturb=sched, plan=plan,
-                                    count=64, stream=RngStream(10, "gen"))
-        return _mean_pairwise(generate(net, schedule, sge_set, request))
+        return _mean_pairwise(generate(net, schedule, sge_set, guidance="per-sample",
+                                       start="noised", start_sample=0, perturb=sched,
+                                       plan=plan, count=64, stream=RngStream(10, "gen")))
 
     spreads = [spread(s) for s in (0.0, 0.05, 0.1, 0.25)]
     assert all(a <= b + 1e-12 for a, b in zip(spreads, spreads[1:]))

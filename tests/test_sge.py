@@ -77,7 +77,8 @@ def test_loss_zero_for_perfect_guidance(sched):
     g = -eps / sched.sqrt_one_minus_ab(t)
     x_t = noise_to(sched, x0, t, eps)
     eps_net = eps_theta(net, x_t, t)
-    loss, grad = sge_loss(eps_net, sched, x0, t, x_t, eps, g, g, lam=1.0)
+    loss, grad = sge_loss(eps_net, sched, x0, t, x_t, noise_to(sched, x0, t - 1, eps), g, g,
+                          lam=1.0)
     assert loss == pytest.approx(0.0, abs=1e-18)
 
 
@@ -89,8 +90,10 @@ def test_penalty_vanishes_at_mean(sched, tiny_ring):
     eps = gaussian(RngStream(3, "eps"), (2,))
     x_t = noise_to(schedule, x0, 12, eps)
     eps_net = eps_theta(net, x_t, 12)
-    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, x_t, eps, g, g, lam=100.0)
-    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, x_t, eps, g, g, lam=0.0)
+    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, x_t,
+                          noise_to(schedule, x0, 12 - 1, eps), g, g, lam=100.0)
+    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, x_t,
+                            noise_to(schedule, x0, 12 - 1, eps), g, g, lam=0.0)
     assert loss_eq == pytest.approx(loss_zero, rel=1e-12)
 
 
@@ -107,13 +110,14 @@ def test_loss_gradient_matches_finite_differences(tiny_ring):
         g_mean = gaussian(stream, (2,))
         lam = [0.0, 1.0, 10.0][probe % 3]
         x_t = noise_to(schedule, x0, t, eps)
+        x_prev = noise_to(schedule, x0, t - 1, eps_prev)
         eps_net = eps_theta(net, x_t, t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g, g_mean, lam)
+        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g, g_mean, lam)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g + e, g_mean, lam)
-            lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, eps_prev, g - e, g_mean, lam)
+            lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g + e, g_mean, lam)
+            lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g - e, g_mean, lam)
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -272,7 +276,8 @@ def test_one_dimensional_brute_force_oracle():
         for t, eps in draws:
             x_t = noise_to(sched1, x0, t, eps)
             eps_net = eps_theta(net, x_t, t)
-            _, gi = sge_loss(eps_net, sched1, x0, t, x_t, eps, g, g, lam=0.0)
+            _, gi = sge_loss(eps_net, sched1, x0, t, x_t, noise_to(sched1, x0, t - 1, eps),
+                             g, g, lam=0.0)
             grad += gi
         (g,), state = adam_step([g], [grad], state, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
@@ -331,7 +336,8 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
         for i, t in enumerate(ts.tolist()):
             seg = segment_for(rmap, t)
             losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, x_t[i],
-                                       eps_prev[i], segments[i, seg], mean[seg], config.lam)
+                                       noise_to(schedule, targets[i], t - 1, eps_prev[i]),
+                                       segments[i, seg], mean[seg], config.lam)
             state = states.get((i, seg), AdamState.for_params([np.zeros(d)]))
             (segments[i, seg],), states[i, seg] = adam_step(
                 [segments[i, seg]], [grad], state, config.lr)

@@ -171,6 +171,9 @@ def test_config_fraction_validation():
     (dict(train__hidden="abc"), "train.hidden"),
     (dict(train__hidden="8;8"), "train.hidden"),
     (dict(train__hidden="0,8"), "train.hidden"),
+    (dict(train__hidden="8,,8"), "train.hidden"),
+    (dict(train__hidden=" , "), "train.hidden"),
+    (dict(train__hidden="8,"), "train.hidden"),
     (dict(sge__window_lo_frac=0.8, sge__window_hi_frac=0.2, perturb__alpha_frac=0.8),
      "sge.window_lo_frac must be <= sge.window_hi_frac"),
     (dict(sge__lr=-0.5), "sge: learning rate lr must be > 0, got -0.5"),
@@ -182,7 +185,8 @@ def test_config_fraction_validation():
     (dict(run__seed=2**63), r"run.seed must be in \[0, 9223372036854775807\]"),
     (dict(run__seed=-1), r"run.seed must be in \[0, "),
 ], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
-        "hidden-abc", "hidden-semicolon", "hidden-zero", "window-order", "sge-lr",
+        "hidden-abc", "hidden-semicolon", "hidden-zero", "hidden-empty-item",
+        "hidden-blank-items", "hidden-trailing-comma", "window-order", "sge-lr",
         "train-lr", "sge-iterations", "sge-lam", "lam-nan", "s-inf", "seed-high",
         "seed-negative"])
 def test_config_bounds_validation(overrides, message):
@@ -247,6 +251,7 @@ def test_config_bounds_accept_edges():
 
 def test_hidden_widths_parse_positive_integers():
     assert ExperimentConfig.defaults(train__hidden="").hidden_widths() == []
+    assert ExperimentConfig.defaults(train__hidden="  ").hidden_widths() == []
     assert ExperimentConfig.defaults(train__hidden=" 8, 16 ").hidden_widths() == [8, 16]
 
 
@@ -553,6 +558,30 @@ def test_run_experiment_failure_marker(tmp_path, monkeypatch):
         crdi.workbench.experiment.run_experiment(_fast_config(), tmp_path / "run")
     marker = (tmp_path / "run" / "failed").read_text()
     assert "stage: generate" in marker and "cause:" in marker
+
+
+def test_rerun_after_failure_drops_stale_marker(tmp_path):
+    from crdi.workbench.experiment import run_experiment
+
+    bad = _fast_config(train__checkpoint=_foreign_checkpoint(tmp_path, 2, 120))
+    with pytest.raises(ConfigError):
+        run_experiment(bad, tmp_path / "run")
+    assert (tmp_path / "run" / "failed").exists()
+    run_experiment(_fast_config(), tmp_path / "run")
+    assert (tmp_path / "run" / "manifest.json").exists()
+    assert not (tmp_path / "run" / "failed").exists()
+
+
+def test_failed_rerun_drops_stale_manifest(tmp_path):
+    from crdi.workbench.experiment import run_experiment
+
+    run_experiment(_fast_config(), tmp_path / "run")
+    assert (tmp_path / "run" / "manifest.json").exists()
+    bad = _fast_config(train__checkpoint=_foreign_checkpoint(tmp_path, 2, 120))
+    with pytest.raises(ConfigError):
+        run_experiment(bad, tmp_path / "run")
+    assert "stage: train-source" in (tmp_path / "run" / "failed").read_text()
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_sweep_emits_rows(tmp_path):
