@@ -2,20 +2,27 @@
 stepping, score/noise conversion, and source-model training."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
-from .numerics import (AdamState, Mlp, RngStream, adam_step, gaussian, int_from_uniform,
-                       mlp_backward, mlp_forward)
+from .numerics import (AdamState, Mlp, RngStream, adam_step, box_muller, int_from_uniform,
+                       layer_views, mlp_backward, mlp_forward)
 from .schedules import NoiseSchedule
 
 TIME_EMBED_DIM = 32
 MAX_T = 100_000   # bounds the (T + 1, TIME_EMBED_DIM) time table a checkpoint can ask for
 _CHECKPOINT_MAGIC = b"CRDN"
 _CHECKPOINT_VERSION = 1
+# train_source takes the draws of up to _TRAIN_BLOCK steps from its stream in
+# one uniform call, and no more than _TRAIN_BLOCK_UNIFORMS unless a single
+# step needs more: 16 steps of a 128-row ring batch, one of a sprite batch,
+# so a block of sprite draws is no larger than one step's.
+_TRAIN_BLOCK = 16
+_TRAIN_BLOCK_UNIFORMS = 2 ** 15
 
 
 def time_features(t, T: int) -> np.ndarray:
@@ -152,6 +159,13 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
 
     Minimizes E||eps - eps_theta(noise_to(x0, t, eps), t)||^2 over uniform
     t in [1, T]. Returns the per-step loss trace; the net is frozen on exit.
+
+    The parameters live in one flat float64 vector in ``Mlp.parameters()``
+    order, which is the checkpoint's block order; the net's weights and
+    biases are views of it. Each step writes the gradient into one buffer
+    of the same length and makes one ``adam_step`` over the whole vector.
+    The stream gives each step's draws in the order batch indices,
+    timesteps, noise, taken for a block of steps in one uniform call.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim != 2 or dataset.shape[0] == 0:
@@ -161,31 +175,35 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     if net.frozen:
         raise InvalidArgumentError("cannot train a frozen net")
 
-    n = dataset.shape[0]
-    params = net.backbone.parameters()
-    state = AdamState.for_params(params)
+    n, batch, mlp = dataset.shape[0], config.batch, net.backbone
+    flat = np.concatenate([p.ravel() for p in mlp.parameters()])
+    grad = np.empty_like(flat)
+    state = AdamState.for_params([flat])
     trace = np.zeros(config.steps)
+    per_noise = 2 * ((batch * net.d + 1) // 2)   # uniforms per Box-Muller noise draw
+    width = 2 * batch + per_noise                 # uniforms per step
+    block = min(_TRAIN_BLOCK, max(1, _TRAIN_BLOCK_UNIFORMS // width))
 
-    for step in range(config.steps):
-        idx = int_from_uniform(stream.uniform(config.batch), 0, n - 1)
-        t = int_from_uniform(stream.uniform(config.batch), 1, schedule.T)
-        x0 = dataset[idx]
-        eps = gaussian(stream, (config.batch, net.d))
-        x_t = noise_to(schedule, x0, t, eps)
-        inp = np.concatenate([x_t, net.time_table[t]], axis=-1)
-        tape = []
-        pred = mlp_forward(net.backbone, inp, tape=tape)
-        resid = pred - eps
-        loss = float(np.mean(resid * resid))
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite training loss at step {step}")
-        trace[step] = loss
-        upstream = 2.0 * resid / resid.size
-        grads, _ = mlp_backward(net.backbone, inp, upstream, tape=tape)
-        params, state = adam_step(params, grads, state, config.lr)
-        for i in range(len(net.backbone.weights)):
-            net.backbone.weights[i] = params[2 * i]
-            net.backbone.biases[i] = params[2 * i + 1]
+    for start in range(0, config.steps, block):
+        steps = min(block, config.steps - start)
+        u = stream.uniform(steps * width).reshape(steps, width)
+        idx = int_from_uniform(u[:, :batch], 0, n - 1)
+        ts = int_from_uniform(u[:, batch:2 * batch], 1, schedule.T)
+        noise = box_muller(u[:, 2 * batch:], batch * net.d).reshape(steps, batch, net.d)
+        for j in range(steps):
+            t, eps = ts[j], noise[j]
+            x_t = noise_to(schedule, dataset[idx[j]], t, eps)
+            inp = np.concatenate([x_t, net.time_table[t]], axis=-1)
+            tape = []
+            resid = mlp_forward(mlp, inp, tape=tape) - eps
+            loss = float(np.mean(resid * resid))
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite training loss at step {start + j}")
+            trace[start + j] = loss
+            mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape=tape, out=grad)
+            (flat,), state = adam_step([flat], [grad], state, config.lr)
+            views = layer_views(mlp.widths, flat)
+            mlp.weights[:], mlp.biases[:] = views[0::2], views[1::2]
     net.freeze()
     return net, trace
 

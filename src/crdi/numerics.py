@@ -85,16 +85,26 @@ def gaussian(stream: RngStream, shape) -> np.ndarray:
 
 # Below x = -709.78, exp(-x) overflows to inf, which gives silu and its
 # gradient their exact limits (-0); the overflow is expected, not reported.
+# Both are written in terms of e = 1 + exp(-x), which the forward pass keeps
+# on its tape so that the backward pass needs no second exp.
+
+def _silu_denominator(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return 1.0 + np.exp(-x)
+
+
+def _silu_grad_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """SiLU's derivative at x, given e = 1 + exp(-x)."""
+    s = 1.0 / e
+    return s * (1.0 + x * (1.0 - s))
+
 
 def silu(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+    return x / _silu_denominator(x)
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+    return _silu_grad_from(x, _silu_denominator(x))
 
 
 @dataclass
@@ -139,43 +149,72 @@ class Mlp:
         return h.hexdigest()
 
 
+def _param_count(widths) -> int:
+    return sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
+
+
+def layer_views(widths, flat: np.ndarray) -> list:
+    """The parameters of an MLP with these widths as views of one flat
+    float64 vector, interleaved (W, b) per layer as ``Mlp.parameters()``
+    orders them and a checkpoint stores them."""
+    n = _param_count(widths)
+    if flat.dtype != np.float64 or flat.shape != (n,):
+        raise ShapeError(f"flat parameters of shape {flat.shape} and dtype {flat.dtype} "
+                         f"are not the ({n},) float64 vector of widths {list(widths)}")
+    views, off = [], 0
+    for a, b in zip(widths[:-1], widths[1:]):
+        views.append(flat[off:off + a * b].reshape(a, b))
+        views.append(flat[off + a * b:off + a * b + b])
+        off += a * b + b
+    return views
+
+
 def _forward(net: Mlp, x: np.ndarray, tape: list) -> np.ndarray:
     """Layer loop shared by mlp_forward and mlp_backward; appends one
-    (layer input, pre-activation) pair per layer to ``tape``."""
+    (layer input, pre-activation z, e) triple per layer to ``tape``, where
+    e = 1 + exp(-z) on hidden layers and None on the output layer."""
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        tape.append((h, z))
-        h = silu(z) if i != last else z
-    return h
+        z = h @ w
+        z += b
+        if i == last:
+            tape.append((h, z, None))
+            return z
+        e = _silu_denominator(z)
+        tape.append((h, z, e))
+        h = z / e
 
 
 def mlp_forward(net: Mlp, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     """Forward evaluation; accepts a vector or a (batch, width) matrix.
 
-    When ``tape`` is a list, each layer's input and pre-activation are
-    appended to it, so that ``mlp_backward`` can reuse this pass instead of
-    recomputing it.
+    When ``tape`` is a list, each layer's input and pre-activation, and on
+    hidden layers SiLU's denominator 1 + exp(-z), are appended to it, so
+    that ``mlp_backward`` can reuse this pass instead of recomputing it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.widths[0]:
         raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
     h = _forward(net, x, [] if tape is None else tape)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericError("mlp_forward produced non-finite values")
     return h
 
 
 def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
-                 tape: list | None = None):
+                 tape: list | None = None, out: np.ndarray | None = None):
     """Gradients of <upstream, output> w.r.t. parameters and input.
 
     Returns (param_grads, input_grad) where param_grads interleaves
     (dW, db) per layer in declaration order. Batched inputs sum the
     parameter gradients over the batch. ``tape`` is the one filled by
     ``mlp_forward(net, x, tape)`` on the same weights; without it the
-    forward pass is recomputed.
+    forward pass is recomputed. SiLU's derivative comes from the tape's
+    1 + exp(-z), not from a second exp. With ``out``, a float64 vector of
+    the net's parameter count, each dW and db is written into its view of
+    ``out`` (``layer_views``) and those views are returned; without it the
+    gradients are views of a new vector.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -189,17 +228,18 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
     elif len(tape) != len(net.weights) or np.shape(tape[0][0]) != x.shape:
         raise ShapeError(f"tape of {len(tape)} layers does not match a "
                          f"{len(net.weights)}-layer net on input {x.shape}")
+    if out is None:
+        out = np.empty(_param_count(net.widths))
+    param_grads = layer_views(net.widths, out)
     squeeze = x.ndim == 1
 
-    last = len(net.weights) - 1
-    param_grads = [None] * (2 * len(net.weights))
     delta = np.atleast_2d(upstream)
-    for i in range(last, -1, -1):
-        h, z = tape[i]
-        if i != last:
-            delta = delta * silu_grad(z)
-        param_grads[2 * i] = np.atleast_2d(h).T @ delta
-        param_grads[2 * i + 1] = delta.sum(axis=0)
+    for i in range(len(net.weights) - 1, -1, -1):
+        h, z, e = tape[i]
+        if e is not None:
+            delta = delta * _silu_grad_from(z, e)
+        np.matmul(np.atleast_2d(h).T, delta, out=param_grads[2 * i])
+        np.sum(delta, axis=0, out=param_grads[2 * i + 1])
         delta = delta @ net.weights[i].T
     input_grad = delta[0] if squeeze else delta
     return param_grads, input_grad
@@ -223,11 +263,17 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params, grads, state: AdamState, lr: float):
-    """One Adam update. Mutates nothing; returns (new_params, new_state)."""
+    """One Adam update. Mutates nothing; returns (new_params, new_state).
+
+    The new moments and parameters are built with ``out=`` in arrays
+    allocated here, in the order of operations of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p = p - lr (m / c1) / (sqrt(v / c2) + eps).
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state length mismatch")
     for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient at parameter index {i}")
         if g.shape != params[i].shape:
             raise ShapeError(f"gradient shape mismatch at index {i}")
@@ -235,10 +281,21 @@ def adam_step(params, grads, state: AdamState, lr: float):
     new_p, new_m, new_v = [], [], []
     c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        p = p - lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
-        new_p.append(p)
+        m = _BETA1 * m
+        tmp = (1.0 - _BETA1) * g
+        m += tmp
+        v = _BETA2 * v
+        np.multiply(1.0 - _BETA2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += _EPS
+        p_new = np.divide(m, c1)
+        p_new *= lr
+        p_new /= tmp
+        np.subtract(p, p_new, out=p_new)
+        new_p.append(p_new)
         new_m.append(m)
         new_v.append(v)
     return new_p, AdamState(new_m, new_v, t)

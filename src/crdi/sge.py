@@ -9,6 +9,7 @@ still validated against finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -127,7 +128,7 @@ def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: in
     dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - x_prev
     dg = g - g_mean
     loss = float(d0 @ d0 + dp @ dp + lam * (dg @ dg))
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError("non-finite SGE loss")
 
     # d eps_hat / d g = -a_t; chain through the two linear reconstructions

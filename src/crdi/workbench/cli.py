@@ -22,9 +22,19 @@ def _load(config_path, seed):
     return cfg if seed is None else cfg.with_value("run.seed", seed)
 
 
-def common_options(f):
+def _drop_run_record(out: Path, config_path: Path):
+    """Remove the manifest.json and config.toml that a report run left in
+    ``out``: once a staged command rewrites an artifact they no longer
+    describe the directory. A config.toml given as --config stays."""
+    (out / "manifest.json").unlink(missing_ok=True)
+    if (out / "config.toml").resolve() != config_path.resolve():
+        (out / "config.toml").unlink(missing_ok=True)
+
+
+def common_options(f, staged=False):
     """--config, --seed and --out: the command gets the loaded config and the
-    output directory, and crdi and OS errors become exit codes."""
+    output directory, and crdi and OS errors become exit codes. A staged
+    command first drops the run record of an earlier report from --out."""
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=True, dir_okay=False), help="experiment config file")
     @click.option("--seed", type=int, default=None, help="override run.seed")
@@ -33,7 +43,10 @@ def common_options(f):
     @functools.wraps(f)
     def wrapper(config_path, seed, out_dir, **kwargs):
         try:
-            return f(_load(config_path, seed), out_dir, **kwargs)
+            cfg = _load(config_path, seed)
+            if staged:
+                _drop_run_record(out_dir, Path(config_path))
+            return f(cfg, out_dir, **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
@@ -46,13 +59,16 @@ def common_options(f):
     return wrapper
 
 
+staged_options = functools.partial(common_options, staged=True)
+
+
 @click.group()
 def main():
     """Conditional relaxing diffusion inversion workbench."""
 
 
 @main.command("train-source")
-@common_options
+@staged_options
 def cli_train_source(cfg, out):
     """Train the source diffusion model and write model.crdn."""
     out.mkdir(parents=True, exist_ok=True)
@@ -62,7 +78,7 @@ def cli_train_source(cfg, out):
 
 
 @main.command("fit-sge")
-@common_options
+@staged_options
 def cli_fit_sge(cfg, out):
     """Fit per-sample guidance embeddings against the k-shot target set."""
     out.mkdir(parents=True, exist_ok=True)
@@ -71,7 +87,7 @@ def cli_fit_sge(cfg, out):
 
 
 @main.command("generate")
-@common_options
+@staged_options
 def cli_generate(cfg, out):
     """Generate diversity-enhanced samples from fitted artifacts in --out."""
     samples = generate_stage(cfg, out)
@@ -87,7 +103,7 @@ def cli_reconstruct(cfg, out, sample_id):
 
 
 @main.command("evaluate")
-@common_options
+@staged_options
 def cli_evaluate(cfg, out):
     """Score samples.crdt in --out against fresh target draws."""
     report = evaluate_stage(cfg, out)

@@ -8,8 +8,8 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                             predict_x0, save_checkpoint, score_from_noise,
                             time_features, train_source)
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import (AdamState, RngStream, adam_step, gaussian,
-                           mlp_backward, mlp_forward)
+from crdi.numerics import (AdamState, RngStream, adam_step, gaussian, mlp_forward,
+                           silu, silu_grad)
 from crdi.sampler import generate
 from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
 from crdi.sge import SgeSet
@@ -274,10 +274,34 @@ def test_train_validation():
                      RngStream(0))
 
 
+def _recomputing_backward(mlp, x, upstream):
+    """Parameter gradients as mlp_backward formed them before the SiLU tape
+    and the flat gradient buffer: the forward pass recomputed with silu,
+    SiLU's derivative from silu_grad, one new array per gradient."""
+    inputs, pre, h = [], [], x
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w + b
+        inputs.append(h)
+        pre.append(z)
+        h = silu(z) if i != last else z
+    grads = [None] * (2 * len(mlp.weights))
+    delta = upstream
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * silu_grad(pre[i])
+        grads[2 * i] = inputs[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ mlp.weights[i].T
+    return grads
+
+
 def _two_pass_training(net, schedule, dataset, config, stream):
-    """train_source as it ran before the forward tape and the time-feature
-    table, kept test-side as the reference: time features recomputed per
-    step and a backward pass that recomputes the forward."""
+    """train_source as it ran before the forward tape, the time-feature
+    table, the flat parameter vector and the block draws, kept test-side as
+    the reference: time features recomputed per step, a backward pass that
+    recomputes the forward, per-step draws and one Adam state per
+    parameter array."""
     n = dataset.shape[0]
     params = net.backbone.parameters()
     state = AdamState.for_params(params)
@@ -292,24 +316,26 @@ def _two_pass_training(net, schedule, dataset, config, stream):
         inp = np.concatenate([x_t, time_features(t, net.T)], axis=-1)
         resid = mlp_forward(net.backbone, inp) - eps
         trace[step] = float(np.mean(resid * resid))
-        grads, _ = mlp_backward(net.backbone, inp, 2.0 * resid / resid.size)
+        grads = _recomputing_backward(net.backbone, inp, 2.0 * resid / resid.size)
         params, state = adam_step(params, grads, state, config.lr)
         net.backbone.weights = params[0::2]
         net.backbone.biases = params[1::2]
     return net, trace
 
 
-def test_train_source_matches_two_pass_reference():
+@pytest.mark.parametrize("hidden", [[24, 24], []], ids=["two-hidden", "linear"])
+def test_train_source_matches_two_pass_reference(hidden):
+    # 60 steps of 32 draws each span several draw blocks
     schedule = linear_schedule(60, 1e-4, 0.02)
     dataset = gaussian(RngStream(6, "data"), (200, 2))
     config = TrainConfig(steps=60, batch=32, lr=2e-3)
-    net, trace = train_source(NoiseNet.init(2, 60, [24, 24], RngStream(6, "init")),
+    net, trace = train_source(NoiseNet.init(2, 60, hidden, RngStream(6, "init")),
                               schedule, dataset, config, RngStream(6, "train"))
     ref, ref_trace = _two_pass_training(
-        NoiseNet.init(2, 60, [24, 24], RngStream(6, "init")), schedule, dataset,
+        NoiseNet.init(2, 60, hidden, RngStream(6, "init")), schedule, dataset,
         config, RngStream(6, "train"))
     assert trace.tobytes() == ref_trace.tobytes()
-    for p, q in zip(net.backbone.parameters(), ref.backbone.parameters()):
+    for p, q in zip(net.backbone.parameters(), ref.backbone.parameters(), strict=True):
         assert p.tobytes() == q.tobytes()
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdi.errors import InvalidArgumentError, NumericError, ShapeError
-from crdi.numerics import (AdamState, Mlp, RngStream, adam_step, gaussian,
+from crdi.numerics import (AdamState, Mlp, RngStream, adam_step, gaussian, layer_views,
                            mlp_backward, mlp_forward, silu, silu_grad)
 
 
@@ -119,6 +119,27 @@ def test_silu_saturates_without_overflow_warning():
     s = 1.0 / (1.0 + np.exp(-finite))
     np.testing.assert_array_equal(out[1:], finite / (1.0 + np.exp(-finite)))
     np.testing.assert_array_equal(grad[1:], s * (1.0 + finite * (1.0 - s)))
+
+    # through the tape: the hidden pre-activations reach -800 and +800
+    net = Mlp.zeros([1, 3, 1])
+    net.weights[0] = np.array([[800.0, -800.0, 1.0]])
+    net.biases[0] = np.array([0.0, 0.0, -0.5])
+    net.weights[1] = np.array([[1.0], [2.0], [-3.0]])
+    net.biases[1] = np.array([0.25])
+    x = np.array([[1.0], [-1.0], [0.25]])
+    up = np.array([[0.5], [-1.5], [2.0]])
+    tape = []
+    out = mlp_forward(net, x, tape=tape)
+    grads, input_grad = mlp_backward(net, x, up, tape=tape)
+    z = x @ net.weights[0] + net.biases[0]
+    assert z.min() == -800.0 and z.max() == 800.0
+    h = silu(z)
+    delta = (up @ net.weights[1].T) * silu_grad(z)
+    ref = [x.T @ delta, delta.sum(axis=0), h.T @ up, up.sum(axis=0)]
+    assert out.tobytes() == (h @ net.weights[1] + net.biases[1]).tobytes()
+    for g, r in zip(grads, ref, strict=True):
+        assert g.tobytes() == r.tobytes()
+    assert input_grad.tobytes() == (delta @ net.weights[0].T).tobytes()
 
 
 def test_forward_matches_manual_recurrence():
@@ -262,6 +283,27 @@ def test_backward_rejects_mismatched_tape():
         mlp_backward(net, np.ones((4, 3)), np.ones((4, 2)), tape=tape)
 
 
+def test_backward_out_holds_the_gradients():
+    net = Mlp.init([3, 5, 4, 2], RngStream(11, "net"))
+    flat = np.concatenate([p.ravel() for p in net.parameters()])
+    for v, p in zip(layer_views(net.widths, flat), net.parameters(), strict=True):
+        assert v.base is flat and v.tobytes() == p.tobytes()
+    xb = gaussian(RngStream(11, "x"), (6, 3))
+    ub = gaussian(RngStream(11, "u"), (6, 2))
+    tape = []
+    mlp_forward(net, xb, tape=tape)
+    out = np.full(flat.size, np.nan)
+    grads, input_grad = mlp_backward(net, xb, ub, tape=tape, out=out)
+    ref, ref_in = mlp_backward(net, xb, ub)
+    for g, r in zip(grads, ref, strict=True):
+        assert g.base is out and g.tobytes() == r.tobytes()
+    assert out.tobytes() == np.concatenate([r.ravel() for r in ref]).tobytes()
+    assert input_grad.tobytes() == ref_in.tobytes()
+    for size in (flat.size - 1, flat.size + 1):
+        with pytest.raises(ShapeError, match="flat parameters"):
+            mlp_backward(net, xb, ub, tape=tape, out=np.zeros(size))
+
+
 def test_backward_shape_errors():
     net = Mlp.zeros([3, 2])
     with pytest.raises(ShapeError):
@@ -307,10 +349,17 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_adam_pure_no_mutation():
-    params = [np.array([1.0])]
-    state = AdamState.for_params(params)
-    adam_step(params, [np.array([0.5])], state, lr=0.1)
-    assert params[0][0] == 1.0 and state.t == 0 and state.m[0][0] == 0.0
+    params = [np.array([1.0, -2.0, 0.5]), np.array([[0.25, 3.0], [-1.0, 0.0]])]
+    grads = [np.array([0.5, -0.25, 2.0]), np.array([[1.0, -3.0], [0.0, 0.75]])]
+    state = AdamState([np.array([0.1, 0.2, -0.3]), np.array([[0.5, -0.5], [0.0, 1.0]])],
+                      [np.array([0.01, 0.04, 0.09]), np.array([[0.25, 0.25], [0.0, 1.0]])],
+                      t=5)
+    before = [a.tobytes() for a in (*params, *grads, *state.m, *state.v)]
+    new_p, new_state = adam_step(params, grads, state, lr=0.1)
+    assert [a.tobytes() for a in (*params, *grads, *state.m, *state.v)] == before
+    assert state.t == 5 and new_state.t == 6
+    for a in (*new_p, *new_state.m, *new_state.v):
+        assert not any(np.shares_memory(a, b) for b in (*params, *grads, *state.m, *state.v))
 
 
 # ---------------------------------------------------------------- properties

@@ -762,6 +762,26 @@ def test_cli_missing_input_names_the_file(tmp_path, done, cmd, missing):
     assert "Traceback" not in res.output
 
 
+def test_cli_staged_commands_drop_the_report_record(tmp_path):
+    _, a_path = _config_file(tmp_path, "a.toml")
+    b, b_path = _config_file(tmp_path, "b.toml", sge__iterations=30)
+    out = tmp_path / "out"
+    record = (out / "manifest.json", out / "config.toml")
+    for cmd in ("train-source", "fit-sge", "generate", "evaluate"):
+        assert _cli("report", "--config", a_path, "--out", out).exit_code == 0
+        assert all(p.is_file() for p in record)
+        res = _cli(cmd, "--config", b_path, "--out", out)
+        assert res.exit_code == 0, (cmd, res.output)
+        assert not any(p.exists() for p in record), cmd
+    assert _cli("report", "--config", b_path, "--out", out).exit_code == 0
+    assert json.loads(record[0].read_text())["config_hash"] == b.hash()
+    assert ExperimentConfig.from_file(record[1]).hash() == b.hash()
+    # the config.toml passed as --config is the run's input and stays
+    res = _cli("evaluate", "--config", record[1], "--out", out)
+    assert res.exit_code == 0, res.output
+    assert not record[0].exists() and record[1].is_file()
+
+
 def _foreign_checkpoint(tmp_path, d, T):
     from crdi.diffusion import NoiseNet, save_checkpoint
     from crdi.numerics import RngStream
