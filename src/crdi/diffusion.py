@@ -10,7 +10,7 @@ import numpy as np
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import (AdamState, Mlp, RngStream, adam_step, box_muller, int_from_uniform,
-                       layer_views, mlp_backward, mlp_forward)
+                       mlp_backward, mlp_forward)
 from .schedules import NoiseSchedule
 
 TIME_EMBED_DIM = 32
@@ -149,6 +149,10 @@ class TrainConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise InvalidArgumentError(f"steps must be >= 0, got {self.steps}")
+        if self.batch < 1:
+            raise InvalidArgumentError(f"batch must be >= 1, got {self.batch}")
         if not self.lr > 0:
             raise InvalidArgumentError(f"learning rate lr must be > 0, got {self.lr}")
 
@@ -160,11 +164,10 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     Minimizes E||eps - eps_theta(noise_to(x0, t, eps), t)||^2 over uniform
     t in [1, T]. Returns the per-step loss trace; the net is frozen on exit.
 
-    The parameters live in one flat float64 vector in ``Mlp.parameters()``
-    order, which is the checkpoint's block order; the net's weights and
-    biases are views of it. Each step writes the gradient into one buffer
-    of the same length and makes one ``adam_step`` over the whole vector.
-    The stream gives each step's draws in the order batch indices,
+    Each step writes the gradient into one buffer shaped like the net's
+    ``params`` vector and makes one ``adam_step`` over the whole vector;
+    the net then holds the vector that step returned, with no copy. The
+    stream gives each step's draws in the order batch indices,
     timesteps, noise, taken for a block of steps in one uniform call.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
@@ -176,9 +179,8 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
         raise InvalidArgumentError("cannot train a frozen net")
 
     n, batch, mlp = dataset.shape[0], config.batch, net.backbone
-    flat = np.concatenate([p.ravel() for p in mlp.parameters()])
-    grad = np.empty_like(flat)
-    state = AdamState.for_params([flat])
+    grad = np.empty_like(mlp.params)
+    state = AdamState(np.zeros_like(grad), np.zeros_like(grad))
     trace = np.zeros(config.steps)
     per_noise = 2 * ((batch * net.d + 1) // 2)   # uniforms per Box-Muller noise draw
     width = 2 * batch + per_noise                 # uniforms per step
@@ -201,22 +203,21 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
                 raise NumericError(f"non-finite training loss at step {start + j}")
             trace[start + j] = loss
             mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape=tape, out=grad)
-            (flat,), state = adam_step([flat], [grad], state, config.lr)
-            views = layer_views(mlp.widths, flat)
-            mlp.weights[:], mlp.biases[:] = views[0::2], views[1::2]
+            params, state = adam_step(mlp.params, grad, state, config.lr)
+            net.backbone = mlp = Mlp(mlp.widths, params)
     net.freeze()
     return net, trace
 
 
 def save_checkpoint(path, net: NoiseNet):
-    """CRDN format: magic, version, T, layer widths, params as LE float64."""
+    """CRDN format: magic, version, T, layer widths, ``params`` as one LE float64 block."""
     widths = net.backbone.widths
     binfmt.write(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
-                 [net.T, len(widths), *widths], net.backbone.parameters())
+                 [net.T, len(widths), *widths], [net.backbone.params])
 
 
 def load_checkpoint(path) -> NoiseNet:
-    """A frozen NoiseNet whose widths run from d + TIME_EMBED_DIM to d."""
+    """A frozen NoiseNet, widths d + TIME_EMBED_DIM to d, whose ``params`` is the file's block."""
     r = binfmt.Reader(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, "checkpoint")
     T, nwidths = r.u32(2)
     if not 1 <= T <= MAX_T or nwidths < 2:
@@ -224,6 +225,6 @@ def load_checkpoint(path) -> NoiseNet:
     widths = list(r.u32(nwidths, positive=True))
     if widths[0] != widths[-1] + TIME_EMBED_DIM:
         raise FormatError(f"checkpoint input width {widths[0]} at byte 16 != d + {TIME_EMBED_DIM}")
-    params = [r.f64(s, finite=True) for a, b in zip(widths, widths[1:]) for s in ((a, b), (b,))]
+    params = r.f64((sum(a * b + b for a, b in zip(widths, widths[1:])),), finite=True)
     r.done()
-    return NoiseNet(Mlp(widths, params[0::2], params[1::2]), d=widths[-1], T=T).freeze()
+    return NoiseNet(Mlp(widths, params), d=widths[-1], T=T).freeze()

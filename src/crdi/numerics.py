@@ -7,7 +7,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,7 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
+    """SiLU's derivative; kept public as the tests' reference for the tape's."""
     return _silu_grad_from(x, _silu_denominator(x))
 
 
@@ -111,45 +112,44 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
 class Mlp:
     """Fully connected net: SiLU on hidden layers, identity output.
 
-    ``weights[i]`` has shape (widths[i], widths[i+1]); inputs are row
-    vectors or (batch, width) matrices.
+    ``params``, one float64 vector in checkpoint order (``layer_views``),
+    is the only storage of the parameters: ``weights[i]``, of shape
+    (widths[i], widths[i+1]), and ``biases[i]`` are views of it. Inputs are
+    row vectors or (batch, width) matrices.
     """
 
     widths: list
-    weights: list
-    biases: list
+    params: np.ndarray
+    weights: tuple = field(init=False, repr=False, compare=False)
+    biases: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.widths = list(self.widths)
+        views = layer_views(self.widths, self.params)
+        self.weights, self.biases = tuple(views[0::2]), tuple(views[1::2])
 
     @classmethod
     def init(cls, widths, stream: RngStream) -> "Mlp":
-        if len(widths) < 2 or any(w < 1 for w in widths):
-            raise InvalidArgumentError(f"bad layer widths {widths}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(scale * gaussian(stream, (fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(list(widths), weights, biases)
+        net = cls.zeros(widths)
+        for w in net.weights:
+            w[...] = np.sqrt(2.0 / w.shape[0]) * gaussian(stream, w.shape)
+        return net
 
     @classmethod
     def zeros(cls, widths) -> "Mlp":
-        weights = [np.zeros((a, b)) for a, b in zip(widths[:-1], widths[1:])]
-        biases = [np.zeros(b) for b in widths[1:]]
-        return cls(list(widths), weights, biases)
+        return cls(widths, np.zeros(_param_count(widths)))
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        """The interleaved (W, b) views of ``params``, layer by layer."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def param_checksum(self) -> str:
-        h = hashlib.sha256()
-        for p in self.parameters():
-            h.update(np.ascontiguousarray(p).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.params.tobytes()).hexdigest()
 
 
 def _param_count(widths) -> int:
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise InvalidArgumentError(f"bad layer widths {list(widths)}")
     return sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
 
 
@@ -211,8 +211,8 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
     parameter gradients over the batch. ``tape`` is the one filled by
     ``mlp_forward(net, x, tape)`` on the same weights; without it the
     forward pass is recomputed. SiLU's derivative comes from the tape's
-    1 + exp(-z), not from a second exp. With ``out``, a float64 vector of
-    the net's parameter count, each dW and db is written into its view of
+    1 + exp(-z), not from a second exp. With ``out``, a float64 vector
+    shaped like ``net.params``, each dW and db is written into its view of
     ``out`` (``layer_views``) and those views are returned; without it the
     gradients are views of a new vector.
     """
@@ -229,7 +229,7 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
         raise ShapeError(f"tape of {len(tape)} layers does not match a "
                          f"{len(net.weights)}-layer net on input {x.shape}")
     if out is None:
-        out = np.empty(_param_count(net.widths))
+        out = np.empty_like(net.params)
     param_grads = layer_views(net.widths, out)
     squeeze = x.ndim == 1
 
@@ -247,55 +247,44 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the bias-correction step."""
+    """First/second moment arrays shaped like the parameters, plus the bias-correction step."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's values).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One Adam update. Mutates nothing; returns (new_params, new_state).
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float):
+    """One Adam update of the array p (a net's ``params``, or one embedding
+    segment). Mutates nothing; returns (new_p, new_state).
 
     The new moments and parameters are built with ``out=`` in arrays
     allocated here, in the order of operations of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p = p - lr (m / c1) / (sqrt(v / c2) + eps).
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params/grads/state length mismatch")
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient at parameter index {i}")
-        if g.shape != params[i].shape:
-            raise ShapeError(f"gradient shape mismatch at index {i}")
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient")
+    if not p.shape == g.shape == state.m.shape == state.v.shape:
+        raise ShapeError(f"shapes differ: p {p.shape}, g {g.shape}, moments {state.m.shape}")
     t = state.t + 1
-    new_p, new_m, new_v = [], [], []
     c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = _BETA1 * m
-        tmp = (1.0 - _BETA1) * g
-        m += tmp
-        v = _BETA2 * v
-        np.multiply(1.0 - _BETA2, g, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += _EPS
-        p_new = np.divide(m, c1)
-        p_new *= lr
-        p_new /= tmp
-        np.subtract(p, p_new, out=p_new)
-        new_p.append(p_new)
-        new_m.append(m)
-        new_v.append(v)
-    return new_p, AdamState(new_m, new_v, t)
+    m = _BETA1 * state.m
+    tmp = (1.0 - _BETA1) * g
+    m += tmp
+    v = _BETA2 * state.v
+    np.multiply(1.0 - _BETA2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += _EPS
+    p_new = np.divide(m, c1)
+    p_new *= lr
+    p_new /= tmp
+    np.subtract(p, p_new, out=p_new)
+    return p_new, AdamState(m, v, t)

@@ -181,7 +181,7 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     mean = np.zeros((rmap.eta, d))   # penalty target, refreshed at epoch boundaries
     streams = [stream.child(f"sample{i}") for i in range(n)]
     # independent Adam moments per (sample, segment) slice
-    adam = [[AdamState([np.zeros(d)], [np.zeros(d)]) for _ in range(rmap.eta)]
+    adam = [[AdamState(np.zeros(d), np.zeros(d)) for _ in range(rmap.eta)]
             for _ in range(n)]
     last_loss = [0.0] * n
 
@@ -197,8 +197,7 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
                 g = segments[i, seg]
                 loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, noised[i],
                                       prev[i], g, mean[seg], config.lam)
-                (new_g,), adam[i][seg] = adam_step([g], [grad], adam[i][seg], config.lr)
-                segments[i, seg] = new_g
+                segments[i, seg], adam[i][seg] = adam_step(g, grad, adam[i][seg], config.lr)
                 last_loss[i] = loss
             mean = segments.mean(axis=0)
 

@@ -194,7 +194,7 @@ class ExperimentConfig:
         if v["sge"]["window_lo_frac"] > v["sge"]["window_hi_frac"]:
             raise ConfigError("sge.window_lo_frac must be <= sge.window_hi_frac")
         for param, low in (("run.k", 1), ("run.count", 2), ("run.eval_count", 2),
-                           ("train.steps", 1), ("train.batch", 1), ("sge.eta", 1)):
+                           ("train.steps", 1), ("sge.eta", 1)):
             section, key = param.split(".")
             if v[section][key] < low:
                 raise ConfigError(f"{param} must be >= {low}")

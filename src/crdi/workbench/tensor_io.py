@@ -32,7 +32,8 @@ def read_tensor(path) -> np.ndarray:
 def write_grid(path, images, columns: int):
     """Montage of equally shaped grayscale images as a binary PGM with
     1-pixel separators; values clamped to [0, 1] then scaled to 255.
-    Clamping is flagged in a sidecar `.note` file."""
+    Clamping is flagged in a sidecar `.note` file, which a write that
+    clamps nothing removes."""
     images = [np.asarray(im, dtype=np.float64) for im in images]
     if not images:
         raise InvalidArgumentError("empty image set")
@@ -56,5 +57,7 @@ def write_grid(path, images, columns: int):
     with open(path, "wb") as f:
         f.write(f"P5\n{gw} {gh}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
+    note = Path(str(path) + ".note")
+    note.unlink(missing_ok=True)
     if clamped:
-        Path(str(path) + ".note").write_text("values clamped to [0, 1]\n")
+        note.write_text("values clamped to [0, 1]\n")

@@ -150,6 +150,8 @@ def _load_mutated(root, ext: str, blob: bytes):
     """The loader's result on blob: a valid object, or FormatError and nothing else."""
     _, load, check = FORMATS[ext]
     path = root / f"mutated.{ext}"
+    # a fresh file: rewriting one in place pays a flush to disk on close
+    path.unlink(missing_ok=True)
     path.write_bytes(blob)
     try:
         obj = load(path)

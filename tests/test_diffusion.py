@@ -1,5 +1,7 @@
 """Diffusion core: forward noising, x0 prediction, DDIM stepping,
 score conversions, training, and checkpoint IO."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,10 @@ def test_train_validation():
     with pytest.raises(InvalidArgumentError):
         train_source(net, schedule, np.zeros((4, 2)), TrainConfig(steps=1),
                      RngStream(0))
+    with pytest.raises(InvalidArgumentError, match="batch must be >= 1, got 0"):
+        TrainConfig(batch=0)
+    with pytest.raises(InvalidArgumentError, match="steps must be >= 0, got -1"):
+        TrainConfig(steps=-1)
 
 
 def _recomputing_backward(mlp, x, upstream):
@@ -304,7 +310,7 @@ def _two_pass_training(net, schedule, dataset, config, stream):
     parameter array."""
     n = dataset.shape[0]
     params = net.backbone.parameters()
-    state = AdamState.for_params(params)
+    states = [AdamState(np.zeros_like(p), np.zeros_like(p)) for p in params]
     trace = np.zeros(config.steps)
     sqrt_ab = np.sqrt(schedule.alpha_bar)
     sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bar)
@@ -317,9 +323,8 @@ def _two_pass_training(net, schedule, dataset, config, stream):
         resid = mlp_forward(net.backbone, inp) - eps
         trace[step] = float(np.mean(resid * resid))
         grads = _recomputing_backward(net.backbone, inp, 2.0 * resid / resid.size)
-        params, state = adam_step(params, grads, state, config.lr)
-        net.backbone.weights = params[0::2]
-        net.backbone.biases = params[1::2]
+        for i, (p, g) in enumerate(zip(params, grads, strict=True)):
+            p[...], states[i] = adam_step(p, g, states[i], config.lr)
     return net, trace
 
 
@@ -385,6 +390,24 @@ def test_checkpoint_round_trip(tmp_path, tiny_ring):
     assert loaded.frozen
     assert loaded.T == net.T and loaded.d == net.d
     assert loaded.param_checksum() == net.param_checksum()
+
+
+def test_checkpoint_stores_params_as_one_block(tmp_path):
+    net = NoiseNet.init(2, 10, [4, 3], RngStream(0, "init"))
+    path = tmp_path / "model.crdn"
+    save_checkpoint(path, net)
+    header = struct.pack("<4s7I", b"CRDN", 1, 10, 4, 34, 4, 3, 2)
+    assert path.read_bytes() == header + net.backbone.params.tobytes()
+    loaded = load_checkpoint(path)
+    assert loaded.backbone.params.tobytes() == net.backbone.params.tobytes()
+
+    # a NaN in the last bias fails the block, which starts after the header
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"non-finite checkpoint values in the block "
+                                          f"at byte {len(header)}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):

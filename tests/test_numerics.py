@@ -105,7 +105,7 @@ def test_zero_net_zero_output():
 
 def test_identity_single_layer():
     net = Mlp.zeros([4, 4])
-    net.weights[0] = np.eye(4)
+    net.weights[0][...] = np.eye(4)
     x = np.array([0.5, -1.5, 2.0, 0.0])
     np.testing.assert_array_equal(mlp_forward(net, x), x)
 
@@ -122,10 +122,10 @@ def test_silu_saturates_without_overflow_warning():
 
     # through the tape: the hidden pre-activations reach -800 and +800
     net = Mlp.zeros([1, 3, 1])
-    net.weights[0] = np.array([[800.0, -800.0, 1.0]])
-    net.biases[0] = np.array([0.0, 0.0, -0.5])
-    net.weights[1] = np.array([[1.0], [2.0], [-3.0]])
-    net.biases[1] = np.array([0.25])
+    net.weights[0][...] = [[800.0, -800.0, 1.0]]
+    net.biases[0][...] = [0.0, 0.0, -0.5]
+    net.weights[1][...] = [[1.0], [2.0], [-3.0]]
+    net.biases[1][...] = [0.25]
     x = np.array([[1.0], [-1.0], [0.25]])
     up = np.array([[0.5], [-1.5], [2.0]])
     tape = []
@@ -179,6 +179,25 @@ def test_param_checksum_tracks_values():
     assert before == net.param_checksum()
     net.weights[0][0, 0] += 1.0
     assert before != net.param_checksum()
+
+
+def test_parameters_are_views_of_one_vector():
+    net = Mlp.init([34, 8, 2], RngStream(0, "init"))
+    # pinned: the init's draws, their order and the layout of params
+    assert net.param_checksum() == \
+        "430ef7c1e3745b6f125207e37507037a6742435242e68fdf6e133b86a1d83bad"
+    assert net.params.shape == (34 * 8 + 8 + 8 * 2 + 2,)
+    views = [*net.weights, *net.biases]
+    assert all(np.shares_memory(p, net.params) for p in views)
+    assert net.parameters() == [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
+    assert [p.tobytes() for p in layer_views(net.widths, net.params)] == \
+        [p.tobytes() for p in net.parameters()]
+    before = net.param_checksum()
+    net.weights[1][3, 1] = 0.5
+    assert net.params[34 * 8 + 8 + 3 * 2 + 1] == 0.5
+    assert net.param_checksum() != before
+    with pytest.raises(ShapeError, match="flat parameters"):
+        Mlp([34, 8, 2], net.params[:-1])
 
 
 # ---------------------------------------------------------------- gradients
@@ -314,52 +333,54 @@ def test_backward_shape_errors():
 
 # ---------------------------------------------------------------- Adam
 
+def _adam_zeros(p):
+    return AdamState(np.zeros_like(p), np.zeros_like(p))
+
+
 def test_adam_zero_gradient_keeps_params():
-    params = [np.array([1.0, -2.0])]
-    state = AdamState.for_params(params)
-    new_p, new_state = adam_step(params, [np.zeros(2)], state, lr=0.1)
-    np.testing.assert_array_equal(new_p[0], params[0])
+    p = np.array([1.0, -2.0])
+    new_p, new_state = adam_step(p, np.zeros(2), _adam_zeros(p), lr=0.1)
+    np.testing.assert_array_equal(new_p, p)
     assert new_state.t == 1
 
 
 def test_adam_moves_against_gradient_sign():
-    params = [np.array([0.0, 0.0])]
+    p = np.array([0.0, 0.0])
     g = np.array([1.0, -3.0])
-    state = AdamState.for_params(params)
+    state = _adam_zeros(p)
     for _ in range(10):
-        params, state = adam_step(params, [g], state, lr=0.01)
-    assert params[0][0] < 0 and params[0][1] > 0
+        p, state = adam_step(p, g, state, lr=0.01)
+    assert p[0] < 0 and p[1] > 0
 
 
 def test_adam_descends_quadratic():
     # f(x) = x^2 from x = 1, lr = 0.1, 100 steps
-    params = [np.array([1.0])]
-    state = AdamState.for_params(params)
+    p = np.array([1.0])
+    state = _adam_zeros(p)
     for _ in range(100):
-        params, state = adam_step(params, [2.0 * params[0]], state, lr=0.1)
-    assert abs(params[0][0]) < 0.05
+        p, state = adam_step(p, 2.0 * p, state, lr=0.1)
+    assert abs(p[0]) < 0.05
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = [np.zeros(2), np.zeros(3)]
-    state = AdamState.for_params(params)
-    with pytest.raises(NumericError, match="index 1"):
-        adam_step(params, [np.zeros(2), np.array([0.0, np.nan, 0.0])],
-                  state, lr=0.1)
+    p = np.zeros(3)
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        adam_step(p, np.array([0.0, np.nan, 0.0]), _adam_zeros(p), lr=0.1)
+    with pytest.raises(ShapeError, match="shapes differ"):
+        adam_step(p, np.zeros(2), _adam_zeros(p), lr=0.1)
 
 
 def test_adam_pure_no_mutation():
-    params = [np.array([1.0, -2.0, 0.5]), np.array([[0.25, 3.0], [-1.0, 0.0]])]
-    grads = [np.array([0.5, -0.25, 2.0]), np.array([[1.0, -3.0], [0.0, 0.75]])]
-    state = AdamState([np.array([0.1, 0.2, -0.3]), np.array([[0.5, -0.5], [0.0, 1.0]])],
-                      [np.array([0.01, 0.04, 0.09]), np.array([[0.25, 0.25], [0.0, 1.0]])],
-                      t=5)
-    before = [a.tobytes() for a in (*params, *grads, *state.m, *state.v)]
-    new_p, new_state = adam_step(params, grads, state, lr=0.1)
-    assert [a.tobytes() for a in (*params, *grads, *state.m, *state.v)] == before
+    p = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+    g = np.array([[0.5, -0.25, 2.0], [1.0, -3.0, 0.75]])
+    state = AdamState(np.array([[0.1, 0.2, -0.3], [0.5, -0.5, 0.0]]),
+                      np.array([[0.01, 0.04, 0.09], [0.25, 0.25, 1.0]]), t=5)
+    before = [a.tobytes() for a in (p, g, state.m, state.v)]
+    new_p, new_state = adam_step(p, g, state, lr=0.1)
+    assert [a.tobytes() for a in (p, g, state.m, state.v)] == before
     assert state.t == 5 and new_state.t == 6
-    for a in (*new_p, *new_state.m, *new_state.v):
-        assert not any(np.shares_memory(a, b) for b in (*params, *grads, *state.m, *state.v))
+    for a in (new_p, new_state.m, new_state.v):
+        assert not any(np.shares_memory(a, b) for b in (p, g, state.m, state.v))
 
 
 # ---------------------------------------------------------------- properties

@@ -270,7 +270,7 @@ def test_one_dimensional_brute_force_oracle():
     g_star = grid[np.argmin(total_loss(grid))]
 
     g = np.zeros(1)
-    state = AdamState.for_params([g])
+    state = AdamState(np.zeros(1), np.zeros(1))
     for _ in range(600):
         grad = np.zeros(1)
         for t, eps in draws:
@@ -279,7 +279,7 @@ def test_one_dimensional_brute_force_oracle():
             _, gi = sge_loss(eps_net, sched1, x0, t, x_t, noise_to(sched1, x0, t - 1, eps),
                              g, g, lam=0.0)
             grad += gi
-        (g,), state = adam_step([g], [grad], state, lr=0.05)
+        g, state = adam_step(g, grad, state, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
 
 
@@ -338,9 +338,9 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
             losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, x_t[i],
                                        noise_to(schedule, targets[i], t - 1, eps_prev[i]),
                                        segments[i, seg], mean[seg], config.lam)
-            state = states.get((i, seg), AdamState.for_params([np.zeros(d)]))
-            (segments[i, seg],), states[i, seg] = adam_step(
-                [segments[i, seg]], [grad], state, config.lr)
+            state = states.get((i, seg), AdamState(np.zeros(d), np.zeros(d)))
+            segments[i, seg], states[i, seg] = adam_step(segments[i, seg], grad, state,
+                                                         config.lr)
         mean = segments.mean(axis=0)
     return segments, losses
 

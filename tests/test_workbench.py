@@ -164,7 +164,7 @@ def test_config_fraction_validation():
 @pytest.mark.parametrize("overrides,message", [
     (dict(run__count=0), "run.count must be >= 2"),
     (dict(run__eval_count=1), "run.eval_count must be >= 2"),
-    (dict(train__batch=0), "train.batch must be >= 1"),
+    (dict(train__batch=0), "train: batch must be >= 1, got 0"),
     (dict(sge__eta=0), "sge.eta must be >= 1"),
     (dict(inference__steps=1), "inference.steps"),
     (dict(schedule__T=60, inference__steps=62), "inference.steps"),
@@ -440,6 +440,10 @@ def test_grid_clamps_and_flags(tmp_path):
     assert (tmp_path / "clamp.pgm.note").exists()
     payload = path.read_bytes().split(b"255\n", 1)[1]
     assert list(payload) == [255, 0]
+    # a later in-range write to the same path drops the stale note
+    write_grid(path, [np.array([[1.0, 0.0]])], columns=1)
+    assert not (tmp_path / "clamp.pgm.note").exists()
+    assert list(path.read_bytes().split(b"255\n", 1)[1]) == [255, 0]
 
 
 def test_grid_validation(tmp_path):
