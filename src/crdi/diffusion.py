@@ -9,7 +9,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
-from .numerics import (AdamState, Mlp, RngStream, adam_step, box_muller, int_from_uniform,
+from .numerics import (Mlp, RngStream, adam_step, box_muller, int_from_uniform,
                        mlp_backward, mlp_forward)
 from .schedules import NoiseSchedule
 
@@ -165,8 +165,8 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     t in [1, T]. Returns the per-step loss trace; the net is frozen on exit.
 
     Each step writes the gradient into one buffer shaped like the net's
-    ``params`` vector and makes one ``adam_step`` over the whole vector;
-    the net then holds the vector that step returned, with no copy. The
+    ``params`` vector and makes one in-place ``adam_step`` over the whole
+    vector, so the net holds one vector from init to checkpoint. The
     stream gives each step's draws in the order batch indices,
     timesteps, noise, taken for a block of steps in one uniform call.
     """
@@ -180,7 +180,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
 
     n, batch, mlp = dataset.shape[0], config.batch, net.backbone
     grad = np.empty_like(mlp.params)
-    state = AdamState(np.zeros_like(grad), np.zeros_like(grad))
+    m, v = np.zeros_like(grad), np.zeros_like(grad)
     trace = np.zeros(config.steps)
     per_noise = 2 * ((batch * net.d + 1) // 2)   # uniforms per Box-Muller noise draw
     width = 2 * batch + per_noise                 # uniforms per step
@@ -203,8 +203,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
                 raise NumericError(f"non-finite training loss at step {start + j}")
             trace[start + j] = loss
             mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape=tape, out=grad)
-            params, state = adam_step(mlp.params, grad, state, config.lr)
-            net.backbone = mlp = Mlp(mlp.widths, params)
+            adam_step(mlp.params, grad, m, v, start + j + 1, config.lr)
     net.freeze()
     return net, trace
 

@@ -1,8 +1,8 @@
 """Deterministic numeric substrate: seeded RNG streams, a small MLP with
 hand-rolled reverse-mode gradients, and an Adam update.
 
-Everything is float64 and pure: same inputs (including RNG state) give
-bit-identical outputs.
+Everything is float64 and deterministic: same inputs (including RNG state)
+give bit-identical outputs; ``adam_step`` updates its arrays in place.
 """
 from __future__ import annotations
 
@@ -245,46 +245,36 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
     return param_grads, input_grad
 
 
-@dataclass
-class AdamState:
-    """First/second moment arrays shaped like the parameters, plus the bias-correction step."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba's values).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float):
-    """One Adam update of the array p (a net's ``params``, or one embedding
-    segment). Mutates nothing; returns (new_p, new_state).
-
-    The new moments and parameters are built with ``out=`` in arrays
-    allocated here, in the order of operations of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p = p - lr (m / c1) / (sqrt(v / c2) + eps).
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              lr: float) -> None:
+    """One Adam update, in place, of the array p (a net's ``params``, or one
+    embedding segment) and of the caller's moments m and v, in the order of
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p = p - lr (m / c1) / (sqrt(v / c2) + eps). ``t`` is the 1-based count of
+    updates p has had, this one included. A rejected step writes nothing.
     """
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")
-    if not p.shape == g.shape == state.m.shape == state.v.shape:
-        raise ShapeError(f"shapes differ: p {p.shape}, g {g.shape}, moments {state.m.shape}")
-    t = state.t + 1
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ShapeError(f"shapes differ: p {p.shape}, g {g.shape}, moments {m.shape}, {v.shape}")
+    if t < 1:
+        raise InvalidArgumentError(f"update count t must be >= 1, got {t}")
     c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
-    m = _BETA1 * state.m
+    m *= _BETA1
     tmp = (1.0 - _BETA1) * g
     m += tmp
-    v = _BETA2 * state.v
+    v *= _BETA2
     np.multiply(1.0 - _BETA2, g, out=tmp)
     tmp *= g
     v += tmp
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += _EPS
-    p_new = np.divide(m, c1)
-    p_new *= lr
-    p_new /= tmp
-    np.subtract(p, p_new, out=p_new)
-    return p_new, AdamState(m, v, t)
+    step = np.divide(m, c1)
+    step *= lr
+    step /= tmp
+    p -= step

@@ -18,7 +18,7 @@ import numpy as np
 from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
-from .numerics import AdamState, RngStream, adam_step, box_muller, int_from_uniform
+from .numerics import RngStream, adam_step, box_muller, int_from_uniform
 from .schedules import NoiseSchedule, RigidityMap, segment_for
 
 _SGE_MAGIC = b"CRDS"
@@ -163,9 +163,10 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
             config: SgeFitConfig, stream: RngStream) -> SgeSet:
     """Inversion loop: per iteration, every sample draws (t, eps) from its
     own stream, one net call predicts the noise at all N noised states, and
-    each sample then updates only the active segment of its embedding. The
-    samples do not interact within an iteration: the penalty mean refreshes
-    at epoch boundaries."""
+    each sample then updates only the active segment of its embedding, in
+    place; Adam's moments are (N, eta, d) arrays and its update counts an
+    (N, eta) array. The samples do not interact within an iteration: the
+    penalty mean refreshes at epoch boundaries."""
     if not net.frozen:
         raise InvalidArgumentError("fit_sge requires a frozen net")
     targets = np.asarray(targets, dtype=np.float64)
@@ -180,9 +181,8 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     segments = np.zeros((n, rmap.eta, d))
     mean = np.zeros((rmap.eta, d))   # penalty target, refreshed at epoch boundaries
     streams = [stream.child(f"sample{i}") for i in range(n)]
-    # independent Adam moments per (sample, segment) slice
-    adam = [[AdamState(np.zeros(d), np.zeros(d)) for _ in range(rmap.eta)]
-            for _ in range(n)]
+    m, v = np.zeros_like(segments), np.zeros_like(segments)
+    updates = np.zeros((n, rmap.eta), dtype=np.int64)
     last_loss = [0.0] * n
 
     for start in range(0, config.iterations, _FIT_BLOCK):
@@ -197,7 +197,8 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
                 g = segments[i, seg]
                 loss, grad = sge_loss(eps_net[i], schedule, targets[i], t, noised[i],
                                       prev[i], g, mean[seg], config.lam)
-                segments[i, seg], adam[i][seg] = adam_step(g, grad, adam[i][seg], config.lr)
+                updates[i, seg] += 1
+                adam_step(g, grad, m[i, seg], v[i, seg], int(updates[i, seg]), config.lr)
                 last_loss[i] = loss
             mean = segments.mean(axis=0)
 

@@ -99,6 +99,9 @@ def load_fitted(config: ExperimentConfig, out_dir):
     if sge_set.segments.shape[2] != net.d:
         raise ConfigError(f"{sge_path} holds embeddings of width {sge_set.segments.shape[2]}; "
                           f"the checkpoint has d={net.d}: rerun fit-sge")
+    if len(sge_set) != config["run"]["k"]:
+        raise ConfigError(f"{sge_path} holds {len(sge_set)} embeddings; config has "
+                          f"run.k={config['run']['k']}: rerun fit-sge")
     if sge_set.rmap != config.rigidity_map():
         raise ConfigError(f"{sge_path} was fitted with {sge_set.rmap}; config has "
                           f"{config.rigidity_map()}: rerun fit-sge")

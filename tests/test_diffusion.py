@@ -10,7 +10,7 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                             predict_x0, save_checkpoint, score_from_noise,
                             time_features, train_source)
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import (AdamState, RngStream, adam_step, gaussian, mlp_forward,
+from crdi.numerics import (RngStream, adam_step, gaussian, mlp_forward,
                            silu, silu_grad)
 from crdi.sampler import generate
 from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
@@ -306,11 +306,11 @@ def _two_pass_training(net, schedule, dataset, config, stream):
     """train_source as it ran before the forward tape, the time-feature
     table, the flat parameter vector and the block draws, kept test-side as
     the reference: time features recomputed per step, a backward pass that
-    recomputes the forward, per-step draws and one Adam state per
-    parameter array."""
+    recomputes the forward, per-step draws and one pair of Adam moments
+    per parameter array."""
     n = dataset.shape[0]
     params = net.backbone.parameters()
-    states = [AdamState(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     trace = np.zeros(config.steps)
     sqrt_ab = np.sqrt(schedule.alpha_bar)
     sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bar)
@@ -323,8 +323,8 @@ def _two_pass_training(net, schedule, dataset, config, stream):
         resid = mlp_forward(net.backbone, inp) - eps
         trace[step] = float(np.mean(resid * resid))
         grads = _recomputing_backward(net.backbone, inp, 2.0 * resid / resid.size)
-        for i, (p, g) in enumerate(zip(params, grads, strict=True)):
-            p[...], states[i] = adam_step(p, g, states[i], config.lr)
+        for p, g, (m, v) in zip(params, grads, moments, strict=True):
+            adam_step(p, g, m, v, step + 1, config.lr)
     return net, trace
 
 

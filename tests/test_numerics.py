@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdi.errors import InvalidArgumentError, NumericError, ShapeError
-from crdi.numerics import (AdamState, Mlp, RngStream, adam_step, gaussian, layer_views,
+from crdi.numerics import (Mlp, RngStream, adam_step, gaussian, layer_views,
                            mlp_backward, mlp_forward, silu, silu_grad)
 
 
@@ -333,54 +333,111 @@ def test_backward_shape_errors():
 
 # ---------------------------------------------------------------- Adam
 
-def _adam_zeros(p):
-    return AdamState(np.zeros_like(p), np.zeros_like(p))
+def _pure_adam_step(p, g, m, v, t, lr):
+    """adam_step as it was before it updated in place, kept test-side as the
+    reference: ``t`` is the count of earlier updates, and new p, m, v and
+    t + 1 are returned with nothing mutated."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    t = t + 1
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m = b1 * m
+    tmp = (1.0 - b1) * g
+    m += tmp
+    v = b2 * v
+    np.multiply(1.0 - b2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    p_new = np.divide(m, c1)
+    p_new *= lr
+    p_new /= tmp
+    np.subtract(p, p_new, out=p_new)
+    return p_new, m, v, t
 
 
 def test_adam_zero_gradient_keeps_params():
     p = np.array([1.0, -2.0])
-    new_p, new_state = adam_step(p, np.zeros(2), _adam_zeros(p), lr=0.1)
-    np.testing.assert_array_equal(new_p, p)
-    assert new_state.t == 1
+    m, v = np.zeros(2), np.zeros(2)
+    assert adam_step(p, np.zeros(2), m, v, 1, lr=0.1) is None
+    np.testing.assert_array_equal(p, [1.0, -2.0])
+    np.testing.assert_array_equal(m, 0.0)
+    np.testing.assert_array_equal(v, 0.0)
 
 
 def test_adam_moves_against_gradient_sign():
     p = np.array([0.0, 0.0])
     g = np.array([1.0, -3.0])
-    state = _adam_zeros(p)
-    for _ in range(10):
-        p, state = adam_step(p, g, state, lr=0.01)
+    m, v = np.zeros(2), np.zeros(2)
+    for t in range(1, 11):
+        adam_step(p, g, m, v, t, lr=0.01)
     assert p[0] < 0 and p[1] > 0
 
 
 def test_adam_descends_quadratic():
     # f(x) = x^2 from x = 1, lr = 0.1, 100 steps
     p = np.array([1.0])
-    state = _adam_zeros(p)
-    for _ in range(100):
-        p, state = adam_step(p, 2.0 * p, state, lr=0.1)
+    m, v = np.zeros(1), np.zeros(1)
+    for t in range(1, 101):
+        adam_step(p, 2.0 * p, m, v, t, lr=0.1)
     assert abs(p[0]) < 0.05
 
 
-def test_adam_rejects_nonfinite_gradient():
-    p = np.zeros(3)
-    with pytest.raises(NumericError, match="non-finite gradient"):
-        adam_step(p, np.array([0.0, np.nan, 0.0]), _adam_zeros(p), lr=0.1)
-    with pytest.raises(ShapeError, match="shapes differ"):
-        adam_step(p, np.zeros(2), _adam_zeros(p), lr=0.1)
-
-
-def test_adam_pure_no_mutation():
+def _adam_example():
     p = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
-    g = np.array([[0.5, -0.25, 2.0], [1.0, -3.0, 0.75]])
-    state = AdamState(np.array([[0.1, 0.2, -0.3], [0.5, -0.5, 0.0]]),
-                      np.array([[0.01, 0.04, 0.09], [0.25, 0.25, 1.0]]), t=5)
-    before = [a.tobytes() for a in (p, g, state.m, state.v)]
-    new_p, new_state = adam_step(p, g, state, lr=0.1)
-    assert [a.tobytes() for a in (p, g, state.m, state.v)] == before
-    assert state.t == 5 and new_state.t == 6
-    for a in (new_p, new_state.m, new_state.v):
-        assert not any(np.shares_memory(a, b) for b in (p, g, state.m, state.v))
+    m = np.array([[0.1, 0.2, -0.3], [0.5, -0.5, 0.0]])
+    v = np.array([[0.01, 0.04, 0.09], [0.25, 0.25, 1.0]])
+    return p, m, v
+
+
+def test_adam_rejects_nonfinite_gradient():
+    # a rejected step writes nothing into p, m or v
+    p, m, v = _adam_example()
+    nan_g = np.ones_like(p)
+    nan_g[1, 2] = np.nan
+    cases = [(nan_g, v, 6, NumericError, "non-finite gradient"),
+             (np.ones_like(p), np.concatenate([v, v]), 6, ShapeError, "shapes differ"),
+             (np.ones_like(p), v, 0, InvalidArgumentError, "update count")]
+    for g, vv, t, exc, match in cases:
+        before = [a.tobytes() for a in (p, m, vv)]
+        with pytest.raises(exc, match=match):
+            adam_step(p, g, m, vv, t, lr=0.1)
+        assert [a.tobytes() for a in (p, m, vv)] == before
+
+
+def test_adam_in_place_matches_pure_reference():
+    # from five earlier updates and non-zero moments, each in-place step is
+    # bit-equal to the pure reference, and g is left as it was
+    p, m, v = _adam_example()
+    ref_p, ref_m, ref_v, ref_t = p.copy(), m.copy(), v.copy(), 5
+    stream = RngStream(3, "adam")
+    for t in range(6, 11):
+        g = gaussian(stream, p.shape)
+        g_before = g.tobytes()
+        adam_step(p, g, m, v, t, lr=0.1)
+        ref_p, ref_m, ref_v, ref_t = _pure_adam_step(ref_p, g, ref_m, ref_v, ref_t, lr=0.1)
+        assert ref_t == t and g.tobytes() == g_before
+        assert (p.tobytes(), m.tobytes(), v.tobytes()) == \
+            (ref_p.tobytes(), ref_m.tobytes(), ref_v.tobytes())
+
+
+def test_adam_through_a_segment_view_changes_only_that_slot():
+    # the (sample, segment) layout fit_sge updates: one slot of (N, eta, d)
+    # parameters and moments, through views
+    stream = RngStream(4, "slots")
+    segments, m = gaussian(stream, (3, 4, 5)), gaussian(stream, (3, 4, 5))
+    v = gaussian(stream, (3, 4, 5)) ** 2
+    g = gaussian(stream, (5,))
+    before = [a.copy() for a in (segments, m, v)]
+    adam_step(segments[1, 2], g, m[1, 2], v[1, 2], 3, lr=0.1)
+    ref = _pure_adam_step(before[0][1, 2], g, before[1][1, 2], before[2][1, 2], 2, lr=0.1)
+    others = np.ones((3, 4), dtype=bool)
+    others[1, 2] = False
+    for now, then, slot in zip((segments, m, v), before, ref):
+        assert now[others].tobytes() == then[others].tobytes()
+        assert now[1, 2].tobytes() == slot.tobytes()
+        assert not np.array_equal(now[1, 2], then[1, 2])
 
 
 # ---------------------------------------------------------------- properties

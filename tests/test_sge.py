@@ -8,7 +8,7 @@ import pytest
 from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, noise_to, \
     score_from_noise, time_features
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import AdamState, Mlp, RngStream, adam_step, gaussian, mlp_forward
+from crdi.numerics import Mlp, RngStream, adam_step, gaussian, mlp_forward
 from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule, segment_for
 from crdi.sge import (_FIT_BLOCK, SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
                       save_sge, sge_loss)
@@ -269,9 +269,8 @@ def test_one_dimensional_brute_force_oracle():
     grid = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
     g_star = grid[np.argmin(total_loss(grid))]
 
-    g = np.zeros(1)
-    state = AdamState(np.zeros(1), np.zeros(1))
-    for _ in range(600):
+    g, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+    for step in range(600):
         grad = np.zeros(1)
         for t, eps in draws:
             x_t = noise_to(sched1, x0, t, eps)
@@ -279,7 +278,7 @@ def test_one_dimensional_brute_force_oracle():
             _, gi = sge_loss(eps_net, sched1, x0, t, x_t, noise_to(sched1, x0, t - 1, eps),
                              g, g, lam=0.0)
             grad += gi
-        g, state = adam_step(g, grad, state, lr=0.05)
+        adam_step(g, grad, m, v, step + 1, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
 
 
@@ -338,9 +337,9 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
             losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, x_t[i],
                                        noise_to(schedule, targets[i], t - 1, eps_prev[i]),
                                        segments[i, seg], mean[seg], config.lam)
-            state = states.get((i, seg), AdamState(np.zeros(d), np.zeros(d)))
-            segments[i, seg], states[i, seg] = adam_step(segments[i, seg], grad, state,
-                                                         config.lr)
+            m, v, t = states.get((i, seg), (np.zeros(d), np.zeros(d), 0))
+            adam_step(segments[i, seg], grad, m, v, t + 1, config.lr)
+            states[i, seg] = m, v, t + 1
         mean = segments.mean(axis=0)
     return segments, losses
 

@@ -844,6 +844,25 @@ def test_cli_generate_rejects_stale_rigidity_map(tmp_path, edit):
     assert not (out / "samples.crdt").exists()
 
 
+@pytest.mark.parametrize("cmd", [["generate"], ["evaluate"], ["reconstruct", "--sample", "0"]],
+                         ids=["generate", "evaluate", "reconstruct"])
+def test_cli_rejects_sge_fitted_for_another_k(tmp_path, cmd):
+    # fitted at run.k = 3, then run with run.k = 5: the three embeddings must
+    # not pass for the five shots the config asks for
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    if cmd == ["evaluate"]:
+        res = _cli("generate", "--config", cfg_path, "--out", out)
+        assert res.exit_code == 0, res.output
+    _, edited = _config_file(tmp_path, "edited.toml", run__k=5)
+    res = _cli(*cmd, "--config", edited, "--out", out)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert str(out / "sge.crds") in res.output and "rerun fit-sge" in res.output
+    assert "3 embeddings" in res.output and "run.k=5" in res.output
+    assert "Traceback" not in res.output
+    assert not (out / "report.json").exists() and not (out / "recon0.crdt").exists()
+
+
 def test_cli_generate_rejects_targets_not_matching_sge(tmp_path):
     _, cfg_path = _config_file(tmp_path)
     out = _fitted_out(tmp_path, cfg_path)
