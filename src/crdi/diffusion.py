@@ -164,9 +164,10 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     Minimizes E||eps - eps_theta(noise_to(x0, t, eps), t)||^2 over uniform
     t in [1, T]. Returns the per-step loss trace; the net is frozen on exit.
 
-    Each step writes the gradient into one buffer shaped like the net's
-    ``params`` vector and makes one in-place ``adam_step`` over the whole
-    vector, so the net holds one vector from init to checkpoint. The
+    Each step's backward pass reads the forward pass's tape and writes the
+    parameter gradients, and no input gradient, into one buffer shaped like
+    the net's ``params`` vector; one in-place ``adam_step`` then updates the
+    whole vector, so the net holds one vector from init to checkpoint. The
     stream gives each step's draws in the order batch indices,
     timesteps, noise, taken for a block of steps in one uniform call.
     """
@@ -202,7 +203,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at step {start + j}")
             trace[start + j] = loss
-            mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape=tape, out=grad)
+            mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape, grad)
             adam_step(mlp.params, grad, m, v, start + j + 1, config.lr)
     net.freeze()
     return net, trace

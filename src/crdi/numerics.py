@@ -169,69 +169,53 @@ def layer_views(widths, flat: np.ndarray) -> list:
     return views
 
 
-def _forward(net: Mlp, x: np.ndarray, tape: list) -> np.ndarray:
-    """Layer loop shared by mlp_forward and mlp_backward; appends one
-    (layer input, pre-activation z, e) triple per layer to ``tape``, where
-    e = 1 + exp(-z) on hidden layers and None on the output layer."""
-    h = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w
-        z += b
-        if i == last:
-            tape.append((h, z, None))
-            return z
-        e = _silu_denominator(z)
-        tape.append((h, z, e))
-        h = z / e
-
-
 def mlp_forward(net: Mlp, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     """Forward evaluation; accepts a vector or a (batch, width) matrix.
 
-    When ``tape`` is a list, each layer's input and pre-activation, and on
-    hidden layers SiLU's denominator 1 + exp(-z), are appended to it, so
-    that ``mlp_backward`` can reuse this pass instead of recomputing it.
+    When ``tape`` is a list, one (layer input, pre-activation z, e) triple
+    per layer is appended to it, where e = 1 + exp(-z), SiLU's denominator,
+    on hidden layers and None on the output layer; ``mlp_backward`` reads
+    the pass from it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.widths[0]:
         raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
-    h = _forward(net, x, [] if tape is None else tape)
-    if not np.isfinite(h).all():
+    h, tape = x, [] if tape is None else tape
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w
+        z += b
+        e = _silu_denominator(z)
+        tape.append((h, z, e))
+        h = z / e
+    z = h @ net.weights[-1]
+    z += net.biases[-1]
+    tape.append((h, z, None))
+    if not np.isfinite(z).all():
         raise NumericError("mlp_forward produced non-finite values")
-    return h
+    return z
 
 
-def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
-                 tape: list | None = None, out: np.ndarray | None = None):
-    """Gradients of <upstream, output> w.r.t. parameters and input.
+def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray, tape: list,
+                 out: np.ndarray) -> None:
+    """Gradients of <upstream, output> w.r.t. the parameters, written into
+    ``out``, a float64 vector shaped like ``net.params``: each dW and db
+    into its view of ``out`` (``layer_views``). Batched inputs sum them
+    over the batch.
 
-    Returns (param_grads, input_grad) where param_grads interleaves
-    (dW, db) per layer in declaration order. Batched inputs sum the
-    parameter gradients over the batch. ``tape`` is the one filled by
-    ``mlp_forward(net, x, tape)`` on the same weights; without it the
-    forward pass is recomputed. SiLU's derivative comes from the tape's
-    1 + exp(-z), not from a second exp. With ``out``, a float64 vector
-    shaped like ``net.params``, each dW and db is written into its view of
-    ``out`` (``layer_views``) and those views are returned; without it the
-    gradients are views of a new vector.
+    ``tape`` is the one filled by ``mlp_forward(net, x, tape)`` on the same
+    weights; SiLU's derivative comes from its 1 + exp(-z), not from a
+    second exp. No gradient w.r.t. the input is formed.
     """
-    x = np.asarray(x, dtype=np.float64)
+    shape = np.shape(x)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if x.shape[-1] != net.widths[0]:
-        raise ShapeError(f"input width {x.shape[-1]} != {net.widths[0]}")
-    if upstream.shape != x.shape[:-1] + (net.widths[-1],):
+    if shape[-1] != net.widths[0]:
+        raise ShapeError(f"input width {shape[-1]} != {net.widths[0]}")
+    if upstream.shape != shape[:-1] + (net.widths[-1],):
         raise ShapeError(f"upstream shape {upstream.shape} incompatible with output")
-    if tape is None:
-        tape = []
-        _forward(net, x, tape)
-    elif len(tape) != len(net.weights) or np.shape(tape[0][0]) != x.shape:
+    if len(tape) != len(net.weights) or np.shape(tape[0][0]) != shape:
         raise ShapeError(f"tape of {len(tape)} layers does not match a "
-                         f"{len(net.weights)}-layer net on input {x.shape}")
-    if out is None:
-        out = np.empty_like(net.params)
+                         f"{len(net.weights)}-layer net on input {shape}")
     param_grads = layer_views(net.widths, out)
-    squeeze = x.ndim == 1
 
     delta = np.atleast_2d(upstream)
     for i in range(len(net.weights) - 1, -1, -1):
@@ -240,9 +224,8 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
             delta = delta * _silu_grad_from(z, e)
         np.matmul(np.atleast_2d(h).T, delta, out=param_grads[2 * i])
         np.sum(delta, axis=0, out=param_grads[2 * i + 1])
-        delta = delta @ net.weights[i].T
-    input_grad = delta[0] if squeeze else delta
-    return param_grads, input_grad
+        if i:
+            delta = delta @ net.weights[i].T
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's values).

@@ -145,10 +145,15 @@ def generate_stage(config: ExperimentConfig, out_dir: Path) -> np.ndarray:
 
 
 def evaluate_stage(config: ExperimentConfig, out_dir: Path) -> MetricsReport:
-    """Evaluate stage: the metric battery on samples.crdt, written to
-    report.json and report.csv."""
+    """Evaluate stage: the metric battery on samples.crdt, which must hold
+    run.count samples, written to report.json and report.csv."""
     net, sge_set = load_fitted(config, out_dir)
-    report = evaluate(config, net, sge_set, read_tensor(_input(out_dir, "samples.crdt")))
+    samples_path, count = _input(out_dir, "samples.crdt"), config["run"]["count"]
+    samples = read_tensor(samples_path)
+    if samples.shape != (count, net.d):
+        raise ConfigError(f"{samples_path} has shape {samples.shape}, not ({count}, {net.d}) "
+                          f"for run.count={count} and the checkpoint's d: rerun generate")
+    report = evaluate(config, net, sge_set, samples)
     (out_dir / "report.json").write_text(
         json.dumps({"config_hash": config.hash(), **report.to_dict()}, indent=2))
     _write_csv(out_dir / "report.csv", [{"config_hash": config.hash(), **report.to_csv_row()}])

@@ -21,10 +21,11 @@ def write_tensor(path, tensor: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    """A CRDT tensor; its rank and every dimension must be at least 1."""
+    """A CRDT tensor; its rank and every dimension must be at least 1, and
+    every value finite."""
     r = binfmt.Reader(path, _TENSOR_MAGIC, _TENSOR_VERSION, "tensor")
     (rank,) = r.u32(1, positive=True)
-    tensor = r.f64(r.u32(rank, positive=True))
+    tensor = r.f64(r.u32(rank, positive=True), finite=True)
     r.done()
     return tensor
 

@@ -13,7 +13,7 @@ import pytest
 from crdi.diffusion import ddim_step, eps_theta, noise_to, predict_x0, \
     noise_from_score, score_from_noise
 from crdi.metrics import frechet, mc_ssim, ssim
-from crdi.numerics import Mlp, RngStream, gaussian, mlp_backward, mlp_forward
+from crdi.numerics import Mlp, RngStream, gaussian, layer_views, mlp_backward, mlp_forward
 from crdi.sampler import generate, reconstruct
 from crdi.schedules import (PerturbationSchedule, RigidityMap, gamma,
                             linear_schedule, make_plan)
@@ -46,10 +46,16 @@ def test_criterion_1_gradient_suite():
     # and one random input entry
     stream = RngStream(100, "mlp-probes")
     net = Mlp.init([4, 8, 6, 3], RngStream(100, "net"))
+    out = np.empty_like(net.params)
+    grads = layer_views(net.widths, out)
     for _ in range(100):
         x = gaussian(stream, (4,))
         up = gaussian(stream, (3,))
-        grads, input_grad = mlp_backward(net, x, up)
+        tape = []
+        mlp_forward(net, x, tape=tape)
+        mlp_backward(net, x, up, tape, out)
+        # one row: the input gradient delta0 W0^T is W0 db0
+        input_grad = net.weights[0] @ grads[1]
         layer = stream.randint(0, 2)
         w = net.weights[layer]
         i = stream.randint(0, w.shape[0] - 1)

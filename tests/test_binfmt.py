@@ -119,6 +119,7 @@ def test_sge_metadata_entries_must_be_objects(tmp_path, metas):
 
 def _valid_tensor(tensor):
     assert tensor.ndim >= 1 and tensor.size > 0
+    assert np.isfinite(tensor).all()
 
 
 def _valid_checkpoint(net):

@@ -10,12 +10,12 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
                             predict_x0, save_checkpoint, score_from_noise,
                             time_features, train_source)
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
-from crdi.numerics import (RngStream, adam_step, gaussian, mlp_forward,
-                           silu, silu_grad)
+from crdi.numerics import RngStream, adam_step, gaussian, mlp_forward
 from crdi.sampler import generate
 from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
 from crdi.sge import SgeSet
 from crdi.schedules import RigidityMap
+from test_numerics import recomputing_backward
 
 
 @pytest.fixture(scope="module")
@@ -280,28 +280,6 @@ def test_train_validation():
         TrainConfig(steps=-1)
 
 
-def _recomputing_backward(mlp, x, upstream):
-    """Parameter gradients as mlp_backward formed them before the SiLU tape
-    and the flat gradient buffer: the forward pass recomputed with silu,
-    SiLU's derivative from silu_grad, one new array per gradient."""
-    inputs, pre, h = [], [], x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w + b
-        inputs.append(h)
-        pre.append(z)
-        h = silu(z) if i != last else z
-    grads = [None] * (2 * len(mlp.weights))
-    delta = upstream
-    for i in range(last, -1, -1):
-        if i != last:
-            delta = delta * silu_grad(pre[i])
-        grads[2 * i] = inputs[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ mlp.weights[i].T
-    return grads
-
-
 def _two_pass_training(net, schedule, dataset, config, stream):
     """train_source as it ran before the forward tape, the time-feature
     table, the flat parameter vector and the block draws, kept test-side as
@@ -322,7 +300,7 @@ def _two_pass_training(net, schedule, dataset, config, stream):
         inp = np.concatenate([x_t, time_features(t, net.T)], axis=-1)
         resid = mlp_forward(net.backbone, inp) - eps
         trace[step] = float(np.mean(resid * resid))
-        grads = _recomputing_backward(net.backbone, inp, 2.0 * resid / resid.size)
+        grads = recomputing_backward(net.backbone, inp, 2.0 * resid / resid.size)
         for p, g, (m, v) in zip(params, grads, moments, strict=True):
             adam_step(p, g, m, v, step + 1, config.lr)
     return net, trace

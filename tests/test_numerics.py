@@ -130,7 +130,7 @@ def test_silu_saturates_without_overflow_warning():
     up = np.array([[0.5], [-1.5], [2.0]])
     tape = []
     out = mlp_forward(net, x, tape=tape)
-    grads, input_grad = mlp_backward(net, x, up, tape=tape)
+    grads = _tape_backward(net, x, up, tape)
     z = x @ net.weights[0] + net.biases[0]
     assert z.min() == -800.0 and z.max() == 800.0
     h = silu(z)
@@ -139,7 +139,6 @@ def test_silu_saturates_without_overflow_warning():
     assert out.tobytes() == (h @ net.weights[1] + net.biases[1]).tobytes()
     for g, r in zip(grads, ref, strict=True):
         assert g.tobytes() == r.tobytes()
-    assert input_grad.tobytes() == (delta @ net.weights[0].T).tobytes()
 
 
 def test_forward_matches_manual_recurrence():
@@ -202,19 +201,54 @@ def test_parameters_are_views_of_one_vector():
 
 # ---------------------------------------------------------------- gradients
 
+def _tape_backward(net, x, up, tape=None):
+    """mlp_backward's parameter gradients as the views of its ``out`` buffer,
+    on ``tape`` or else on a tape from a fresh forward pass."""
+    if tape is None:
+        tape = []
+        mlp_forward(net, x, tape=tape)
+    out = np.full(net.params.size, np.nan)
+    assert mlp_backward(net, x, up, tape, out) is None
+    return layer_views(net.widths, out)
+
+
+def recomputing_backward(mlp, x, upstream):
+    """Parameter gradients as mlp_backward formed them before the SiLU tape
+    and the flat gradient buffer, for a (batch, width) x: the forward pass
+    recomputed with silu, SiLU's derivative from silu_grad, one new array
+    per gradient."""
+    inputs, pre, h = [], [], x
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w + b
+        inputs.append(h)
+        pre.append(z)
+        h = silu(z) if i != last else z
+    grads = [None] * (2 * len(mlp.weights))
+    delta = upstream
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * silu_grad(pre[i])
+        grads[2 * i] = inputs[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ mlp.weights[i].T
+    return grads
+
+
 def test_backward_zero_upstream():
     net = Mlp.init([3, 6, 2], RngStream(2, "net"))
-    grads, input_grad = mlp_backward(net, np.ones(3), np.zeros(2))
+    grads = _tape_backward(net, np.ones(3), np.zeros(2))
     assert all(np.all(g == 0) for g in grads)
-    np.testing.assert_array_equal(input_grad, np.zeros(3))
+    # one row: the input gradient delta0 W0^T is W0 db0
+    np.testing.assert_array_equal(net.weights[0] @ grads[1], np.zeros(3))
 
 
 def test_backward_linear_layer_closed_form():
     net = Mlp.init([3, 2], RngStream(4, "net"))
     x = np.array([1.0, -0.5, 2.0])
     up = np.array([0.3, -1.2])
-    grads, input_grad = mlp_backward(net, x, up)
-    np.testing.assert_allclose(input_grad, net.weights[0] @ up, atol=1e-14)
+    grads = _tape_backward(net, x, up)
+    np.testing.assert_allclose(net.weights[0] @ grads[1], net.weights[0] @ up, atol=1e-14)
     np.testing.assert_allclose(grads[0], np.outer(x, up), atol=1e-14)
     np.testing.assert_allclose(grads[1], up, atol=1e-14)
 
@@ -244,7 +278,7 @@ def test_backward_matches_finite_differences():
     net = Mlp.init([3, 5, 4, 2], RngStream(6, "net"))
     x = gaussian(RngStream(6, "x"), (3,))
     up = gaussian(RngStream(6, "up"), (2,))
-    grads, input_grad = mlp_backward(net, x, up)
+    grads = _tape_backward(net, x, up)
     fd = _fd_param_grads(net, x, up)
     for g, ref in zip(grads, fd):
         np.testing.assert_allclose(g, ref, rtol=1e-5, atol=1e-7)
@@ -254,22 +288,20 @@ def test_backward_matches_finite_differences():
         e = np.zeros(3)
         e[i] = h
         fd_in[i] = (up @ mlp_forward(net, x + e) - up @ mlp_forward(net, x - e)) / (2 * h)
-    np.testing.assert_allclose(input_grad, fd_in, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(net.weights[0] @ grads[1], fd_in, rtol=1e-5, atol=1e-7)
 
 
 def test_backward_batch_sums_param_grads():
     net = Mlp.init([3, 4, 2], RngStream(8, "net"))
     xb = gaussian(RngStream(8, "x"), (5, 3))
     ub = gaussian(RngStream(8, "u"), (5, 2))
-    grads, input_grad = mlp_backward(net, xb, ub)
+    grads = _tape_backward(net, xb, ub)
     acc = [np.zeros_like(p) for p in net.parameters()]
     for x, u in zip(xb, ub):
-        row, row_in = mlp_backward(net, x, u)
-        for a, g in zip(acc, row):
+        for a, g in zip(acc, _tape_backward(net, x, u)):
             a += g
     for g, ref in zip(grads, acc):
         np.testing.assert_allclose(g, ref, atol=1e-12)
-    assert input_grad.shape == (5, 3)
 
 
 def test_backward_with_tape_equals_recomputed_forward():
@@ -282,11 +314,10 @@ def test_backward_with_tape_equals_recomputed_forward():
         out = mlp_forward(net, inp, tape=tape)
         np.testing.assert_array_equal(out, mlp_forward(net, inp))
         assert len(tape) == 3
-        grads, input_grad = mlp_backward(net, inp, up, tape=tape)
-        ref, ref_in = mlp_backward(net, inp, up)
-        for g, r in zip(grads, ref):
+        grads = _tape_backward(net, inp, up, tape)
+        ref = recomputing_backward(net, np.atleast_2d(inp), np.atleast_2d(up))
+        for g, r in zip(grads, ref, strict=True):
             assert g.tobytes() == r.tobytes()
-        assert input_grad.tobytes() == ref_in.tobytes()
 
 
 def test_backward_rejects_mismatched_tape():
@@ -294,12 +325,13 @@ def test_backward_rejects_mismatched_tape():
     x = np.ones(3)
     tape = []
     mlp_forward(net, x, tape=tape)
+    out = np.empty_like(net.params)
     with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, x, np.ones(2), tape=tape[:1])
+        mlp_backward(net, x, np.ones(2), tape[:1], out)
     with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, x, np.ones(2), tape=tape + tape[:1])
+        mlp_backward(net, x, np.ones(2), tape + tape[:1], out)
     with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, np.ones((4, 3)), np.ones((4, 2)), tape=tape)
+        mlp_backward(net, np.ones((4, 3)), np.ones((4, 2)), tape, out)
 
 
 def test_backward_out_holds_the_gradients():
@@ -312,23 +344,24 @@ def test_backward_out_holds_the_gradients():
     tape = []
     mlp_forward(net, xb, tape=tape)
     out = np.full(flat.size, np.nan)
-    grads, input_grad = mlp_backward(net, xb, ub, tape=tape, out=out)
-    ref, ref_in = mlp_backward(net, xb, ub)
-    for g, r in zip(grads, ref, strict=True):
+    mlp_backward(net, xb, ub, tape, out)
+    ref = recomputing_backward(net, xb, ub)
+    for g, r in zip(layer_views(net.widths, out), ref, strict=True):
         assert g.base is out and g.tobytes() == r.tobytes()
     assert out.tobytes() == np.concatenate([r.ravel() for r in ref]).tobytes()
-    assert input_grad.tobytes() == ref_in.tobytes()
     for size in (flat.size - 1, flat.size + 1):
         with pytest.raises(ShapeError, match="flat parameters"):
-            mlp_backward(net, xb, ub, tape=tape, out=np.zeros(size))
+            mlp_backward(net, xb, ub, tape, np.zeros(size))
 
 
 def test_backward_shape_errors():
     net = Mlp.zeros([3, 2])
+    tape, out = [], np.empty_like(net.params)
+    mlp_forward(net, np.zeros(3), tape=tape)
     with pytest.raises(ShapeError):
-        mlp_backward(net, np.zeros(4), np.zeros(2))
+        mlp_backward(net, np.zeros(4), np.zeros(2), tape, out)
     with pytest.raises(ShapeError):
-        mlp_backward(net, np.zeros(3), np.zeros(3))
+        mlp_backward(net, np.zeros(3), np.zeros(3), tape, out)
 
 
 # ---------------------------------------------------------------- Adam

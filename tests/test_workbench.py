@@ -873,6 +873,43 @@ def test_cli_generate_rejects_targets_not_matching_sge(tmp_path):
     assert "Traceback" not in res.output
 
 
+def _generated_out(tmp_path, cfg_path):
+    out = _fitted_out(tmp_path, cfg_path)
+    res = _cli("generate", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 0, res.output
+    return out
+
+
+def test_cli_evaluate_rejects_samples_not_matching_config(tmp_path):
+    # run.count = 12 samples of d = 2: fewer rows or another width is stale
+    _, cfg_path = _config_file(tmp_path)
+    out = _generated_out(tmp_path, cfg_path)
+    samples = read_tensor(out / "samples.crdt")
+    for stale in (samples[:5], np.zeros((12, 3))):
+        write_tensor(out / "samples.crdt", stale)
+        res = _cli("evaluate", "--config", cfg_path, "--out", out)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert str(out / "samples.crdt") in res.output and "rerun generate" in res.output
+        assert str(stale.shape) in res.output and "(12, 2)" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "report.json").exists()
+
+
+def test_cli_evaluate_rejects_non_finite_samples(tmp_path):
+    _, cfg_path = _config_file(tmp_path)
+    out = _generated_out(tmp_path, cfg_path)
+    samples = read_tensor(out / "samples.crdt")
+    for bad in (np.nan, np.inf):
+        corrupt = samples.copy()
+        corrupt[3, 1] = bad
+        write_tensor(out / "samples.crdt", corrupt)
+        res = _cli("evaluate", "--config", cfg_path, "--out", out)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "non-finite" in res.output and "byte" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "report.json").exists()
+
+
 def test_cli_directory_in_place_of_staged_input_exits_2(tmp_path):
     _, cfg_path = _config_file(tmp_path)
     out = _fitted_out(tmp_path, cfg_path)
