@@ -11,12 +11,17 @@ import numpy as np
 from .errors import FormatError
 
 
-def write(path, magic: bytes, version: int, header, blocks, tail: bytes = b""):
+def write_file(path, *chunks):
+    """The one writer of every file crdi writes: unlinks path (never truncates it), then writes
+    the chunks in order, bytes or contiguous arrays each from its own buffer."""
+    Path(path).unlink(missing_ok=True)
     with open(path, "wb") as f:
-        f.write(magic + struct.pack(f"<{len(header) + 1}I", version, *header))
-        for block in blocks:
-            f.write(np.ascontiguousarray(block, dtype="<f8"))   # the buffer, not a copy
-        f.write(tail)
+        f.writelines(chunks)
+
+
+def write(path, magic: bytes, version: int, header, blocks, tail: bytes = b""):
+    write_file(path, magic + struct.pack(f"<{len(header) + 1}I", version, *header),
+               *(np.ascontiguousarray(block, dtype="<f8") for block in blocks), tail)
 
 
 class Reader:

@@ -166,7 +166,7 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     each sample then updates only the active segment of its embedding, in
     place; Adam's moments are (N, eta, d) arrays and its update counts an
     (N, eta) array. The samples do not interact within an iteration: the
-    penalty mean refreshes at epoch boundaries."""
+    penalty mean refreshes after each iteration."""
     if not net.frozen:
         raise InvalidArgumentError("fit_sge requires a frozen net")
     targets = np.asarray(targets, dtype=np.float64)
@@ -179,7 +179,7 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     t_lo, t_hi = fit_window(rmap, schedule)
     coupled = config.coupling == "coupled"
     segments = np.zeros((n, rmap.eta, d))
-    mean = np.zeros((rmap.eta, d))   # penalty target, refreshed at epoch boundaries
+    mean = np.zeros((rmap.eta, d))   # penalty target, refreshed after each iteration
     streams = [stream.child(f"sample{i}") for i in range(n)]
     m, v = np.zeros_like(segments), np.zeros_like(segments)
     updates = np.zeros((n, rmap.eta), dtype=np.int64)

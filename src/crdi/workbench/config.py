@@ -7,6 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .. import binfmt
 from ..diffusion import MAX_T, TrainConfig
 from ..errors import ConfigError, InvalidArgumentError
 from ..metrics import DIRECTIONS, FEATURES, FeatureExtractor, check_top_n
@@ -301,7 +302,7 @@ class ExperimentConfig:
                 else:
                     lines.append(f"{key} = {val}")
             lines.append("")
-        Path(path).write_text("\n".join(lines))
+        binfmt.write_file(path, "\n".join(lines).encode())
 
 
 def _built(what: str, build, *args):

@@ -5,6 +5,8 @@ reads its inputs from the files earlier stages wrote to out_dir and writes its o
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
 import time
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import __version__
+from .. import __version__, binfmt
 from ..diffusion import NoiseNet, load_checkpoint, save_checkpoint, train_source
 from ..errors import ConfigError
 from ..metrics import MetricsReport, frechet, intra_diversity, mc_ssim, ssim
@@ -35,6 +37,7 @@ _ARTIFACTS = {"config": "config.toml", "model": "model.crdn", "loss_trace": "los
 class RunManifest:
     config_hash: str
     artifacts: dict
+    sha256: dict          # artifact key -> hex digest of its bytes after the last stage
     timestamps: dict      # start, finish and each stage's wall time in seconds
     environment: dict     # the build and threads a run's bytes reproduce under
     version: str = __version__
@@ -154,8 +157,8 @@ def evaluate_stage(config: ExperimentConfig, out_dir: Path) -> MetricsReport:
         raise ConfigError(f"{samples_path} has shape {samples.shape}, not ({count}, {net.d}) "
                           f"for run.count={count} and the checkpoint's d: rerun generate")
     report = evaluate(config, net, sge_set, samples)
-    (out_dir / "report.json").write_text(
-        json.dumps({"config_hash": config.hash(), **report.to_dict()}, indent=2))
+    binfmt.write_file(out_dir / "report.json", json.dumps(
+        {"config_hash": config.hash(), **report.to_dict()}, indent=2).encode())
     _write_csv(out_dir / "report.csv", [{"config_hash": config.hash(), **report.to_csv_row()}])
     return report
 
@@ -199,13 +202,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
             run_stage(config, out_dir)
             timestamps["stage_s"][stage] = time.perf_counter() - t0
     except Exception as exc:
-        (out_dir / "failed").write_text(f"stage: {stage}\ncause: {exc}\n")
+        binfmt.write_file(out_dir / "failed", f"stage: {stage}\ncause: {exc}\n".encode())
         raise
     timestamps["finished"] = time.time()
     artifacts = {key: str(out_dir / name) for key, name in _ARTIFACTS.items()
                  if (out_dir / name).exists()}
-    manifest = RunManifest(config.hash(), artifacts, timestamps, _environment())
-    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2))
+    sha256 = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in artifacts.items()}
+    manifest = RunManifest(config.hash(), artifacts, sha256, timestamps, _environment())
+    binfmt.write_file(out_dir / "manifest.json", json.dumps(asdict(manifest), indent=2).encode())
     return manifest
 
 
@@ -265,7 +269,8 @@ def sweep(config: ExperimentConfig, param: str, values, out_dir) -> Path:
 
 
 def _write_csv(path: Path, rows: list):
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    text = io.StringIO(newline="")
+    w = csv.DictWriter(text, fieldnames=list(rows[0]))
+    w.writeheader()
+    w.writerows(rows)
+    binfmt.write_file(path, text.getvalue().encode())

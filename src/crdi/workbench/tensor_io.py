@@ -55,10 +55,8 @@ def write_grid(path, images, columns: int):
         grid[r * (h + 1):r * (h + 1) + h, c * (w + 1):c * (w + 1) + w] = \
             np.clip(im, 0.0, 1.0)
     pixels = np.round(grid * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{gw} {gh}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+    binfmt.write_file(path, f"P5\n{gw} {gh}\n255\n".encode("ascii"), pixels)
     note = Path(str(path) + ".note")
     note.unlink(missing_ok=True)
     if clamped:
-        note.write_text("values clamped to [0, 1]\n")
+        binfmt.write_file(note, b"values clamped to [0, 1]\n")

@@ -1,13 +1,18 @@
 """The shared artifact framing: loader checks on malformed headers and blocks,
 and property tests that mutate a small valid file of each format."""
+import ast
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crdi
+from crdi import binfmt
 from crdi.diffusion import MAX_T, NoiseNet, eps_theta, load_checkpoint, save_checkpoint
 from crdi.errors import FormatError
 from crdi.numerics import RngStream
@@ -41,6 +46,52 @@ def _sge_file(path):
     meta = [{"final_loss": 0.5, "iterations": 3}, {"final_loss": 1.0, "iterations": 3}]
     save_sge(path, SgeSet(segments, RigidityMap(eta=2, t_lo=0, t_hi=10), meta))
     return path
+
+
+# ---------------------------------------------------------------- the one writer
+
+def test_write_file_replaces_links_and_symlinks(tmp_path):
+    old, path, link = tmp_path / "old", tmp_path / "a", tmp_path / "b"
+    binfmt.write_file(old, b"old")
+    os.link(old, link)
+    path.symlink_to(old)
+    binfmt.write_file(path, b"ab", np.arange(2.0), np.array([[1, 2]], dtype=np.uint8))
+    assert path.read_bytes() == b"ab" + np.arange(2.0).tobytes() + bytes([1, 2])
+    assert not path.is_symlink() and old.read_bytes() == link.read_bytes() == b"old"
+    binfmt.write_file(link, b"new")
+    assert old.read_bytes() == b"old" and not os.path.samefile(old, link)
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in tree that write a file: write_text,
+    write_bytes, tofile, or an open whose mode is not a constant read mode."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if isinstance(call.func, ast.Name):        # open(path, mode)
+            name, mode = call.func.id, call.args[1:2]
+        elif isinstance(call.func, ast.Attribute):   # Path(path).open(mode)
+            name, mode = call.func.attr, call.args[:1]
+        else:
+            continue
+        mode += [k.value for k in call.keywords if k.arg == "mode"]
+        if name in ("write_text", "write_bytes", "tofile") or name == "open" and not all(
+                isinstance(m, ast.Constant) and not set(str(m.value)) & set("wax+")
+                for m in mode):
+            yield call.lineno
+
+
+def test_write_file_is_the_only_writer_in_src():
+    inside, outside = [], []
+    for path in sorted(Path(crdi.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        body = {line for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "write_file"
+                for line in range(node.lineno, node.end_lineno + 1)}
+        for line in _file_writes(tree):
+            (inside if line in body else outside).append(f"{path.name}:{line}")
+    assert len(inside) == 1 and inside[0].startswith("binfmt.py:")   # the scan sees its open
+    assert outside == []
 
 
 # ---------------------------------------------------------------- loader checks

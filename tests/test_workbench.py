@@ -588,6 +588,78 @@ def test_failed_rerun_drops_stale_manifest(tmp_path):
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+def _link_all(out_dir, side):
+    """Hard-link every file in out_dir into side; returns name -> bytes."""
+    side.mkdir()
+    for path in out_dir.iterdir():
+        if path.is_file():
+            os.link(path, side / path.name)
+    return {path.name: path.read_bytes() for path in side.iterdir()}
+
+
+def _assert_replaced(out_dir, side, old):
+    # a rewrite replaces the file: the old inode, reached through its link,
+    # keeps the first write's bytes
+    for name, blob in old.items():
+        assert not os.path.samefile(side / name, out_dir / name), name
+        assert (side / name).read_bytes() == blob, name
+
+
+def test_rerun_replaces_every_artifact_and_records_digests(tmp_path):
+    import hashlib
+
+    from crdi.workbench.experiment import run_experiment
+
+    out = tmp_path / "run"
+    first = run_experiment(_fast_config(), out)
+    old = _link_all(out, tmp_path / "links")
+    assert set(old) == {os.path.basename(p) for p in first.artifacts.values()} | {"manifest.json"}
+    manifest = run_experiment(_fast_config(run__seed=1), out)
+    _assert_replaced(out, tmp_path / "links", old)
+    assert list(manifest.sha256) == list(manifest.artifacts)
+    recorded = json.loads((out / "manifest.json").read_text())["sha256"]
+    assert recorded == manifest.sha256
+    for key, path in manifest.artifacts.items():
+        with open(path, "rb") as f:
+            assert recorded[key] == hashlib.sha256(f.read()).hexdigest(), key
+
+
+def test_grid_rewrite_replaces_grid_and_note(tmp_path):
+    out = tmp_path / "grid"
+    out.mkdir()
+    write_grid(out / "g.pgm", [np.array([[2.0, 0.5]])], columns=1)
+    old = _link_all(out, tmp_path / "links")
+    assert set(old) == {"g.pgm", "g.pgm.note"}
+    write_grid(out / "g.pgm", [np.array([[-1.0, 0.25]])], columns=1)
+    _assert_replaced(out, tmp_path / "links", old)
+
+
+def test_sweep_rewrite_replaces_table(tmp_path):
+    from crdi.workbench.experiment import sweep
+
+    cfg = _fast_config(train__steps=20, sge__iterations=5)
+    sweep(cfg, "sge.eta", [1], tmp_path / "sweep")
+    old = _link_all(tmp_path / "sweep", tmp_path / "links")
+    assert set(old) == {"sweep.csv"}
+    sweep(cfg, "sge.eta", [2], tmp_path / "sweep")
+    _assert_replaced(tmp_path / "sweep", tmp_path / "links", old)
+
+
+def test_failed_rerun_replaces_marker(tmp_path):
+    from crdi.workbench.experiment import run_experiment
+
+    out = tmp_path / "run"
+    first, second = (_fast_config(train__checkpoint=_foreign_checkpoint(tmp_path, 2, T))
+                     for T in (120, 90))
+    with pytest.raises(ConfigError):
+        run_experiment(first, out)
+    old = _link_all(out, tmp_path / "links")
+    assert set(old) == {"config.toml", "failed"}
+    with pytest.raises(ConfigError):
+        run_experiment(second, out)
+    _assert_replaced(out, tmp_path / "links", old)
+
+
 def test_sweep_emits_rows(tmp_path):
     import csv
     from crdi.workbench.experiment import sweep
