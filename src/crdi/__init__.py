@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, CrdiError, FormatError, InvalidArgumentError,
-                     NumericError, OutOfRangeError, ShapeError)
+                     NumericError, ShapeError)
 from .numerics import Mlp, RngStream, adam_step, gaussian, mlp_backward, mlp_forward
 from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
                         RigidityMap, gamma, linear_schedule, make_plan, segment_for)

@@ -11,7 +11,7 @@ from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import (Mlp, RngStream, adam_step, box_muller, int_from_uniform,
                        mlp_backward, mlp_forward)
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, check_steps
 
 TIME_EMBED_DIM = 32
 MAX_T = 100_000   # bounds the (T + 1, TIME_EMBED_DIM) time table a checkpoint can ask for
@@ -73,16 +73,7 @@ def eps_theta(net: NoiseNet, x: np.ndarray, t) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.d:
         raise ShapeError(f"state width {x.shape[-1]} != {net.d}")
-    if isinstance(t, (int, np.integer)):
-        in_range = 0 <= t <= net.T
-    else:
-        t = np.asarray(t)
-        if t.dtype.kind not in "iu":
-            raise InvalidArgumentError(f"timestep dtype {t.dtype} is not an integer type")
-        in_range = t.size == 0 or (t.min() >= 0 and t.max() <= net.T)
-    if not in_range:
-        raise InvalidArgumentError(f"timestep outside [0, {net.T}]")
-    feat = net.time_table[t]
+    feat = net.time_table[check_steps(t, net.T, x)]
     if x.ndim == 2 and feat.ndim == 1:
         feat = np.broadcast_to(feat, (x.shape[0], feat.shape[0]))
     return mlp_forward(net.backbone, np.concatenate([x, feat], axis=-1))
@@ -95,24 +86,16 @@ def noise_to(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ShapeError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    if isinstance(t, (int, np.integer)):
-        if not (0 <= t <= schedule.T):
-            raise InvalidArgumentError(f"t={t} outside [0, {schedule.T}]")
-        return schedule.sqrt_ab(t) * x0 + schedule.sqrt_one_minus_ab(t) * eps
-    t = np.asarray(t)
-    if t.dtype.kind not in "iu":
-        raise InvalidArgumentError(f"timestep dtype {t.dtype} is not an integer type")
-    if x0.ndim != 2 or t.shape != x0.shape[:1]:
-        raise ShapeError(f"timesteps of shape {t.shape} are not one per row of {x0.shape}")
-    if t.size and not (t.min() >= 0 and t.max() <= schedule.T):
-        raise InvalidArgumentError(f"timestep outside [0, {schedule.T}]")
-    return schedule.sqrt_ab(t)[:, None] * x0 + schedule.sqrt_one_minus_ab(t)[:, None] * eps
+    t = check_steps(t, schedule.T, x0)
+    a, b = schedule.sqrt_ab(t), schedule.sqrt_one_minus_ab(t)
+    if isinstance(t, np.ndarray):   # one step per row
+        a, b = a[:, None], b[:, None]
+    return a * x0 + b * eps
 
 
 def predict_x0(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps_hat: np.ndarray) -> np.ndarray:
-    """Direct x0 estimate from x_t and a noise prediction."""
-    if t < 1:
-        raise InvalidArgumentError("predict_x0 requires t >= 1")
+    """Direct x0 estimate from x_t and a noise prediction, for t in [1, T]."""
+    t = check_steps(t, schedule.T, lo=1)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if x_t.shape != eps_hat.shape:
@@ -123,22 +106,21 @@ def predict_x0(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps_hat: np.nda
 def ddim_step(schedule: NoiseSchedule, x_t: np.ndarray, t: int, t_prev: int,
               eps_hat: np.ndarray) -> np.ndarray:
     """Deterministic DDIM transition from timestep t to t_prev < t."""
+    x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     if t_prev >= t:
         raise InvalidArgumentError(f"t_prev={t_prev} must be < t={t}")
-    return noise_to(schedule, predict_x0(schedule, x_t, t, eps_hat), t_prev, eps_hat)
+    return noise_to(schedule, x0_hat, t_prev, eps_hat)
 
 
 def score_from_noise(schedule: NoiseSchedule, eps_hat: np.ndarray, t: int) -> np.ndarray:
-    """Tweedie conversion: score = -eps_hat / sqrt(1 - ab_t)."""
-    if t < 1:
-        raise InvalidArgumentError("score conversion requires t >= 1")
+    """Tweedie conversion: score = -eps_hat / sqrt(1 - ab_t), for t in [1, T]."""
+    t = check_steps(t, schedule.T, lo=1)
     return -np.asarray(eps_hat, dtype=np.float64) / schedule.sqrt_one_minus_ab(t)
 
 
 def noise_from_score(schedule: NoiseSchedule, score: np.ndarray, t: int) -> np.ndarray:
     """Exact inverse of score_from_noise."""
-    if t < 1:
-        raise InvalidArgumentError("score conversion requires t >= 1")
+    t = check_steps(t, schedule.T, lo=1)
     return -np.asarray(score, dtype=np.float64) * schedule.sqrt_one_minus_ab(t)
 
 

@@ -20,10 +20,6 @@ class ShapeError(CrdiError, ValueError):
     """Array shapes are incompatible for the requested operation."""
 
 
-class OutOfRangeError(CrdiError, ValueError):
-    """A timestep or index fell outside its valid range."""
-
-
 class NumericError(CrdiError, ArithmeticError):
     """A computation produced a non-finite value."""
 

@@ -7,7 +7,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfRangeError
+from .errors import InvalidArgumentError, ShapeError
+
+
+def check_steps(t, hi: int, x=None, lo: int = 0):
+    """t with every step checked to lie in [lo, hi]. An integer comes back
+    as is; an integer array is one step if 0-d, returned as a NumPy integer,
+    or if 1-D one step per row of the 2-D state x. A wrong dtype or range
+    raises InvalidArgumentError, steps not one per row of x ShapeError."""
+    if isinstance(t, (int, np.integer)):
+        if not lo <= t <= hi:
+            raise InvalidArgumentError(f"timestep {t} outside [{lo}, {hi}]")
+        return t
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"timestep dtype {t.dtype} is not an integer type")
+    if t.ndim and (np.ndim(x) != 2 or t.shape != np.shape(x)[:1]):
+        raise ShapeError(f"timesteps of shape {t.shape} are not one per row of {np.shape(x)}")
+    if t.size and not (lo <= t.min() and t.max() <= hi):
+        raise InvalidArgumentError(f"timestep outside [{lo}, {hi}]")
+    return t if t.ndim else t[()]
 
 
 @dataclass(frozen=True)
@@ -102,11 +121,8 @@ class RigidityMap:
 
 
 def segment_for(rmap: RigidityMap, t: int) -> int:
-    """Segment index for timestep t; clamps below the window to 0."""
-    if t > rmap.t_hi:
-        raise OutOfRangeError(f"t={t} above window top {rmap.t_hi}")
-    if t < 0:
-        raise OutOfRangeError(f"t={t} negative")
+    """Segment index for timestep t in [0, t_hi]; clamps below the window to 0."""
+    t = check_steps(t, rmap.t_hi)
     if t < rmap.t_lo:
         return 0
     span = rmap.t_hi - rmap.t_lo + 1

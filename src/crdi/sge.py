@@ -19,7 +19,7 @@ from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
 from .numerics import RngStream, adam_step, box_muller, int_from_uniform
-from .schedules import NoiseSchedule, RigidityMap, segment_for
+from .schedules import NoiseSchedule, RigidityMap, check_steps, segment_for
 
 _SGE_MAGIC = b"CRDS"
 _SGE_VERSION = 1
@@ -120,8 +120,9 @@ def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: in
     -sqrt(1 - ab_t) * g. Returns (loss, grad) where grad is d loss / d g for
     the active segment vector g. The forward targets are x_t and ``x_prev``,
     the state ``noise_to(schedule, x0, t - 1, eps_prev)``; neither depends on g.
+    t must be one step in [1, T].
     """
-    a_t = schedule.sqrt_one_minus_ab(t)
+    a_t = schedule.sqrt_one_minus_ab(check_steps(t, schedule.T, lo=1))
     eps_hat = eps_net - a_t * g
     x0_hat = predict_x0(schedule, x_t, t, eps_hat)
     d0 = x0_hat - x0

@@ -143,7 +143,7 @@ def generate_stage(config: ExperimentConfig, out_dir: Path) -> np.ndarray:
     tgt_spec = config.domain_spec("target")
     if tgt_spec.kind == "sprite-images":
         write_grid(out_dir / "samples.pgm",
-                   list(samples[:16].reshape(-1, *sample_shape(tgt_spec))), columns=4)
+                   samples[:16].reshape(-1, *sample_shape(tgt_spec)), columns=4)
     return samples
 
 

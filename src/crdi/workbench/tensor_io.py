@@ -31,32 +31,25 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_grid(path, images, columns: int):
-    """Montage of equally shaped grayscale images as a binary PGM with
-    1-pixel separators; values clamped to [0, 1] then scaled to 255.
+    """Montage of an (n, h, w) array of grayscale images as a binary PGM
+    with 1-pixel separators; values clamped to [0, 1] then scaled to 255.
     Clamping is flagged in a sidecar `.note` file, which a write that
     clamps nothing removes."""
-    images = [np.asarray(im, dtype=np.float64) for im in images]
-    if not images:
-        raise InvalidArgumentError("empty image set")
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3 or not len(images):
+        raise InvalidArgumentError(f"images must be a non-empty (n, h, w) array, got {images.shape}")
     if columns < 1:
         raise InvalidArgumentError("columns must be >= 1")
-    shape = images[0].shape
-    if any(im.shape != shape for im in images):
-        raise InvalidArgumentError("all images must share one shape")
-
-    clamped = any(im.min() < 0.0 or im.max() > 1.0 for im in images)
-    h, w = shape
-    rows = (len(images) + columns - 1) // columns
-    gh = rows * h + (rows - 1)
-    gw = columns * w + (columns - 1)
-    grid = np.zeros((gh, gw))
-    for i, im in enumerate(images):
-        r, c = divmod(i, columns)
-        grid[r * (h + 1):r * (h + 1) + h, c * (w + 1):c * (w + 1) + w] = \
-            np.clip(im, 0.0, 1.0)
+    n, h, w = images.shape
+    rows = -(-n // columns)
+    # image i fills the top-left of tile i, (h + 1, w + 1) pixels whose rest is separator
+    tiles = np.zeros((rows * columns, h + 1, w + 1))
+    tiles[:n, :h, :w] = np.clip(images, 0.0, 1.0)
+    grid = tiles.reshape(rows, columns, h + 1, w + 1).swapaxes(1, 2)
+    grid = grid.reshape(rows * (h + 1), columns * (w + 1))[:-1, :-1]
     pixels = np.round(grid * 255.0).astype(np.uint8)
-    binfmt.write_file(path, f"P5\n{gw} {gh}\n255\n".encode("ascii"), pixels)
+    binfmt.write_file(path, b"P5\n%d %d\n255\n" % grid.shape[::-1], pixels)
     note = Path(str(path) + ".note")
     note.unlink(missing_ok=True)
-    if clamped:
+    if images.min() < 0.0 or images.max() > 1.0:
         binfmt.write_file(note, b"values clamped to [0, 1]\n")

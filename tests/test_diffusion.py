@@ -12,9 +12,9 @@ from crdi.diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
 from crdi.numerics import RngStream, adam_step, gaussian, mlp_forward
 from crdi.sampler import generate
-from crdi.schedules import PerturbationSchedule, linear_schedule, make_plan
-from crdi.sge import SgeSet
-from crdi.schedules import RigidityMap
+from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
+                            make_plan, segment_for)
+from crdi.sge import SgeSet, guided_noise, sge_loss
 from test_numerics import recomputing_backward
 
 
@@ -153,6 +153,51 @@ def test_score_requires_positive_t(sched100):
         score_from_noise(sched100, np.zeros(2), 0)
     with pytest.raises(InvalidArgumentError):
         noise_from_score(sched100, np.zeros(2), 0)
+
+
+# ---------------------------------------------------------------- timesteps
+
+def _step_calls(sched):
+    """Every function that takes a timestep, as f(t, x) on a width-2 state x."""
+    net = NoiseNet.init(2, sched.T, [8], RngStream(6, "init"))
+    rmap = RigidityMap(eta=4, t_lo=10, t_hi=sched.T)
+
+    def loss_and_grad(t, x):
+        v = x.ravel()
+        loss, grad = sge_loss(v, sched, v, t, v, v, v, v, 1.0)
+        return np.append(grad, loss)
+
+    return {
+        "noise_to": lambda t, x: noise_to(sched, x, t, x),
+        "eps_theta": lambda t, x: eps_theta(net, x, t),
+        "predict_x0": lambda t, x: predict_x0(sched, x, t, x),
+        "ddim_step": lambda t, x: ddim_step(sched, x, t, 0, x),
+        "score_from_noise": lambda t, x: score_from_noise(sched, x, t),
+        "noise_from_score": lambda t, x: noise_from_score(sched, x, t),
+        "segment_for": lambda t, x: np.int64(segment_for(rmap, t)),
+        "guided_noise": lambda t, x: guided_noise(net, sched, x, t, x),
+        "sge_loss": loss_and_grad,
+    }
+
+
+@pytest.mark.parametrize("name", ["noise_to", "eps_theta", "predict_x0", "ddim_step",
+                                  "score_from_noise", "noise_from_score", "segment_for",
+                                  "guided_noise", "sge_loss"])
+def test_every_timestep_argument_is_checked_alike(sched100, name):
+    call = _step_calls(sched100)[name]
+    x, xb = np.array([0.3, -0.2]), gaussian(RngStream(6, "xb"), (3, 2))
+    for t in (sched100.T + 1, -1, 2.5, np.float64(3)):
+        for state in (x, xb):
+            with pytest.raises(InvalidArgumentError):
+                call(t, state)
+    with pytest.raises(ShapeError):
+        call(np.array([5, 6]), xb)   # one step per row of three rows
+    with pytest.raises(ShapeError):
+        call(np.array([5, 6]), x)    # per-row steps need a 2-D state
+    for state in (x, xb):
+        want = call(37, state).tobytes()
+        assert call(np.array(37), state).tobytes() == want
+        assert call(np.int64(37), state).tobytes() == want
 
 
 # ---------------------------------------------------------------- invariants

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crdi.errors import InvalidArgumentError, OutOfRangeError
+from crdi.errors import InvalidArgumentError
 from crdi.schedules import (ALPHA_BAR_FLOOR, InferencePlan, PerturbationSchedule,
                             RigidityMap, gamma, linear_schedule, make_plan, segment_for)
 
@@ -127,9 +127,9 @@ def test_segment_clamps_below_window():
 
 def test_segment_out_of_range():
     rmap = RigidityMap(eta=4, t_lo=0, t_hi=99)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidArgumentError):
         segment_for(rmap, 100)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidArgumentError):
         segment_for(rmap, -1)
 
 

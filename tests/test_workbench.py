@@ -2,6 +2,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,9 +311,6 @@ def test_int_override_hashes_as_its_written_config(tmp_path):
 
 
 def test_readme_config_block_parses_to_the_defaults():
-    import re
-    from pathlib import Path
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```toml\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
@@ -449,9 +447,10 @@ def test_grid_clamps_and_flags(tmp_path):
 def test_grid_validation(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_grid(tmp_path / "x.pgm", [], columns=1)
-    with pytest.raises(InvalidArgumentError):
-        write_grid(tmp_path / "x.pgm", [np.zeros((2, 2)), np.zeros((3, 3))],
-                   columns=1)
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        write_grid(tmp_path / "x.pgm", np.zeros((0, 2, 2)), columns=1)
+    with pytest.raises(InvalidArgumentError, match=r"\(n, h, w\)"):
+        write_grid(tmp_path / "x.pgm", np.zeros((2, 2)), columns=1)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -836,6 +835,23 @@ def test_cli_missing_input_names_the_file(tmp_path, done, cmd, missing):
     assert res.exit_code == 2, res.output
     assert missing in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_unreadable_input_names_the_file(tmp_path, monkeypatch):
+    # chmod locks nothing out of a suite that runs as root, so the read itself fails
+    _, cfg_path = _config_file(tmp_path)
+    out = _fitted_out(tmp_path, cfg_path)
+    read_bytes = Path.read_bytes
+
+    def unreadable(path):
+        if path.name == "sge.crds":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable)
+    res = _cli("generate", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert str(out / "sge.crds") in res.output and "Traceback" not in res.output
 
 
 def test_cli_staged_commands_drop_the_report_record(tmp_path):
