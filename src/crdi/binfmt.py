@@ -49,11 +49,11 @@ class Reader:
             raise FormatError(f"zero {self.what} size at byte {start + 4 * values.index(0)}")
         return values
 
-    def f64(self, shape, finite: bool = False) -> np.ndarray:
-        """The next float64 block, copied; its size is a Python int, so it cannot overflow."""
+    def f64(self, shape) -> np.ndarray:
+        """The next float64 block, copied and checked finite; a Python-int size cannot overflow."""
         start = self._take(8 * math.prod(shape))
         block = np.frombuffer(self.blob, "<f8", math.prod(shape), start).reshape(shape)
-        if finite and not np.isfinite(block).all():
+        if not np.isfinite(block).all():
             raise FormatError(f"non-finite {self.what} values in the block at byte {start}")
         return block.copy()
 

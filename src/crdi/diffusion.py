@@ -35,29 +35,33 @@ def time_features(t, T: int) -> np.ndarray:
 
 @dataclass
 class NoiseNet:
-    """Noise-prediction network over (x_t, t); an MLP over [x, time features].
-
-    ``time_table[t]`` is ``time_features(t, T)`` for every t in [0, T],
-    built once and read-only.
+    """Noise-prediction network over (x_t, t); an MLP over [x, time features],
+    whose output width is the state width ``d``. ``time_table[t]`` is
+    ``time_features(t, T)`` for every t in [0, T], built once and read-only.
     """
 
     backbone: Mlp
-    d: int
     T: int
     frozen: bool = False
     time_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (w := self.backbone.widths)[0] != w[-1] + TIME_EMBED_DIM:
+            raise ShapeError(f"backbone input width {w[0]} != d + {TIME_EMBED_DIM}, d = {w[-1]}")
         if not 1 <= self.T <= MAX_T:
             raise InvalidArgumentError(f"T={self.T} must be in [1, {MAX_T}]")
         table = time_features(np.arange(self.T + 1), self.T)
         table.flags.writeable = False
         self.time_table = table
 
+    @property
+    def d(self) -> int:
+        return self.backbone.widths[-1]
+
     @classmethod
     def init(cls, d: int, T: int, hidden, stream: RngStream) -> "NoiseNet":
         widths = [d + TIME_EMBED_DIM, *hidden, d]
-        return cls(backbone=Mlp.init(widths, stream), d=d, T=T)
+        return cls(backbone=Mlp.init(widths, stream), T=T)
 
     def freeze(self) -> "NoiseNet":
         self.frozen = True
@@ -71,8 +75,8 @@ def eps_theta(net: NoiseNet, x: np.ndarray, t) -> np.ndarray:
     """Predicted noise for state x at integer timestep(s) t in [0, T].
     Batched when x is 2-D; t is then one step or one step per row."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.d:
-        raise ShapeError(f"state width {x.shape[-1]} != {net.d}")
+    if x.ndim not in (1, 2) or x.shape[-1] != net.d:
+        raise ShapeError(f"state of shape {x.shape} is not ({net.d},) or (m, {net.d})")
     feat = net.time_table[check_steps(t, net.T, x)]
     if x.ndim == 2 and feat.ndim == 1:
         feat = np.broadcast_to(feat, (x.shape[0], feat.shape[0]))
@@ -207,6 +211,6 @@ def load_checkpoint(path) -> NoiseNet:
     widths = list(r.u32(nwidths, positive=True))
     if widths[0] != widths[-1] + TIME_EMBED_DIM:
         raise FormatError(f"checkpoint input width {widths[0]} at byte 16 != d + {TIME_EMBED_DIM}")
-    params = r.f64((sum(a * b + b for a, b in zip(widths, widths[1:])),), finite=True)
+    params = r.f64((sum(a * b + b for a, b in zip(widths, widths[1:])),))
     r.done()
-    return NoiseNet(Mlp(widths, params), d=widths[-1], T=T).freeze()
+    return NoiseNet(Mlp(widths, params), T=T).freeze()

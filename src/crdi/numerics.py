@@ -37,7 +37,6 @@ class RngStream:
             raise InvalidArgumentError(f"seed {seed} does not fit in 64 bits")
         self.seed = int(seed)
         self.purpose_tag = purpose_tag
-        self.counter = 0
         self._gen = np.random.Generator(np.random.PCG64(_stream_key(seed, purpose_tag)))
 
     def child(self, tag: str) -> "RngStream":
@@ -45,8 +44,7 @@ class RngStream:
         return RngStream(self.seed, f"{self.purpose_tag}/{tag}")
 
     def uniform(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1); advances the counter by n."""
-        self.counter += n
+        """n uniforms in [0, 1)."""
         return self._gen.random(n)
 
     def randint(self, lo: int, hi: int) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import NoiseNet, ddim_step, noise_to
-from .errors import InvalidArgumentError, check_choice
+from .errors import InvalidArgumentError, ShapeError, check_choice
 from .numerics import RngStream, gaussian
 from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
                         RigidityMap, gamma, segment_for)
@@ -16,18 +16,21 @@ STARTS = ("noised", "prior")
 
 
 def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
-                     stream: RngStream) -> np.ndarray:
-    """Annealed perturbation of one guidance vector.
+                     streams: list) -> np.ndarray:
+    """Annealed perturbation of one step's (m, d) guidance rows; row j draws
+    its noise from ``streams[j]``.
 
     gamma=1 returns g untouched; gamma=0 replaces it by s*eps entirely;
     in between the ceiling of sqrt(gamma) keeps g and adds scaled noise.
     """
+    if g.ndim != 2 or g.shape[0] != len(streams):
+        raise ShapeError(f"guidance of shape {g.shape} is not one row per stream of {len(streams)}")
     gm = gamma(sched, t)
     if gm >= 1.0:
         return g
     if sched.s == 0.0:
         return np.zeros_like(g) if gm <= 0.0 else g
-    eps = gaussian(stream, g.shape)
+    eps = np.stack([gaussian(st, g.shape[1:]) for st in streams])
     if gm <= 0.0:
         return sched.s * eps
     return g + sched.s * np.sqrt(1.0 - gm) * eps
@@ -73,15 +76,14 @@ def _run_chains(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
             continue
         g = segments[rows, segment_for(rmap, t)]
         if sched is not None:
-            g = np.stack([perturb_guidance(gj, t, sched, st) for gj, st in zip(g, streams)])
+            g = perturb_guidance(g, t, sched, streams)
         x = ddim_step(schedule, x, t, t_prev, guided_noise(net, schedule, x, t, g))
     return x
 
 
 def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet, *,
              perturb: PerturbationSchedule, plan: InferencePlan, stream: RngStream,
-             count: int = 1, guidance: str = "per-sample", start: str = "noised",
-             start_sample: int | None = None) -> np.ndarray:
+             count: int = 1, guidance: str = "per-sample", start: str = "noised") -> np.ndarray:
     """Run `count` independent guided reverse chains; returns (count, d).
 
     ``guidance`` guides each chain by one per-sample embedding or by the
@@ -89,26 +91,20 @@ def generate(net: NoiseNet, schedule: NoiseSchedule, sge_set: SgeSet, *,
     start) or "prior" (pure noise at the plan's top). Chain j draws from
     ``stream.child(f"out{j}")``: a sample index, uniform over the set, which
     picks its embedding under per-sample guidance and its start target under
-    a noised start (none is drawn when ``start_sample`` fixes it, or under
-    mean guidance from the prior); then its start noise, then one
-    perturbation per perturbed step.
+    a noised start (none is drawn under mean guidance from the prior); then
+    its start noise, then one perturbation per perturbed step.
     """
     check_choice("guidance", guidance, GUIDANCE)
     check_choice("start", start, STARTS)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    n = len(sge_set)
-    if start_sample is not None and not (0 <= start_sample < n):
-        raise InvalidArgumentError(f"unknown sample id {start_sample}")
     if start == "noised" and sge_set.targets is None:
         raise InvalidArgumentError("noised start requires targets on the SgeSet")
     t_start = start_step(plan, sge_set.rmap, start, perturb.alpha_t)
 
     streams = [stream.child(f"out{j}") for j in range(count)]
-    if start_sample is not None:
-        picks = np.full(count, start_sample)
-    elif guidance == "per-sample" or start == "noised":
-        picks = np.array([st.randint(0, n - 1) for st in streams])
+    if guidance == "per-sample" or start == "noised":
+        picks = np.array([st.randint(0, len(sge_set) - 1) for st in streams])
     else:   # mean guidance from the prior uses no sample
         picks = np.zeros(count, dtype=np.int64)
     if guidance == "mean":

@@ -225,7 +225,7 @@ def load_sge(path) -> SgeSet:
     t_lo, t_hi = r.u32(2)
     if t_lo >= t_hi:
         raise FormatError(f"empty SGE window ({t_lo}, {t_hi}) at byte 20")
-    segments = r.f64((n, eta, d), finite=True)
+    segments = r.f64((n, eta, d))
     end = r.off
     try:
         metas = json.loads(r.rest().decode("utf-8"))

@@ -23,12 +23,12 @@ def _load(config_path, seed):
 
 
 def _drop_run_record(out: Path, config_path: Path):
-    """Remove the manifest.json and config.toml that a report run left in
-    ``out``: once a staged command rewrites an artifact they no longer
-    describe the directory. A config.toml given as --config stays."""
-    (out / "manifest.json").unlink(missing_ok=True)
-    if (out / "config.toml").resolve() != config_path.resolve():
-        (out / "config.toml").unlink(missing_ok=True)
+    """Remove the failed marker, manifest.json and config.toml that a report
+    run left in ``out``: once a staged command rewrites an artifact they no
+    longer describe the directory. A file given as --config stays."""
+    for stale in ("failed", "manifest.json", "config.toml"):
+        if (out / stale).resolve() != config_path.resolve():
+            (out / stale).unlink(missing_ok=True)
 
 
 def common_options(f, staged=False):

@@ -25,7 +25,7 @@ def read_tensor(path) -> np.ndarray:
     every value finite."""
     r = binfmt.Reader(path, _TENSOR_MAGIC, _TENSOR_VERSION, "tensor")
     (rank,) = r.u32(1, positive=True)
-    tensor = r.f64(r.u32(rank, positive=True), finite=True)
+    tensor = r.f64(r.u32(rank, positive=True))
     r.done()
     return tensor
 

@@ -263,6 +263,24 @@ def test_eps_theta_rejects_timesteps_outside_range():
         eps_theta(net, x, 3.0)
 
 
+def test_eps_theta_rejects_states_not_1d_or_2d():
+    net = NoiseNet.init(2, 60, [8], RngStream(5, "init"))
+    for x in (np.float64(0.5), np.zeros((2, 3, 2))):
+        with pytest.raises(ShapeError, match="state of shape"):
+            eps_theta(net, x, 3)
+
+
+def test_noise_net_width_is_the_backbones():
+    from crdi.numerics import Mlp
+
+    net = NoiseNet(Mlp.zeros([34, 8, 2]), T=50)
+    assert net.d == 2
+    with pytest.raises(AttributeError):
+        net.d = 3
+    with pytest.raises(ShapeError, match=r"backbone input width 34 != d \+ 32, d = 3"):
+        NoiseNet(Mlp.zeros([34, 3]), T=50)
+
+
 def test_noise_net_rejects_empty_schedule():
     with pytest.raises(InvalidArgumentError):
         NoiseNet.init(2, 0, [8], RngStream(0, "init"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crdi.diffusion import ddim_step, eps_theta, noise_to
-from crdi.errors import InvalidArgumentError
+from crdi.errors import InvalidArgumentError, ShapeError
 from crdi.numerics import RngStream, gaussian
 from crdi.sampler import generate, perturb_guidance, reconstruct, start_step
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
@@ -16,34 +16,45 @@ from crdi.sge import SgeFitConfig, SgeSet, fit_sge, guided_noise
 
 def test_perturb_clean_region_returns_g():
     sched = PerturbationSchedule(alpha_t=20, beta_t=10, s=0.5)
-    g = np.array([1.0, -2.0])
+    g = np.array([[1.0, -2.0]])
     stream = RngStream(0, "p")
-    np.testing.assert_array_equal(perturb_guidance(g, 5, sched, stream), g)
-    assert stream.counter == 0  # no noise spent in the clean region
+    np.testing.assert_array_equal(perturb_guidance(g, 5, sched, [stream]), g)
+    # no noise spent in the clean region: the next draw is the stream's first
+    assert stream.uniform(1).tobytes() == RngStream(0, "p").uniform(1).tobytes()
 
 
 def test_perturb_noise_region_zero_scale():
     sched = PerturbationSchedule(alpha_t=20, beta_t=10, s=0.0)
-    g = np.array([1.0, -2.0])
-    out = perturb_guidance(g, 25, sched, RngStream(1, "p"))
-    np.testing.assert_array_equal(out, np.zeros(2))
+    g = np.array([[1.0, -2.0]])
+    out = perturb_guidance(g, 25, sched, [RngStream(1, "p")])
+    np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
 
 def test_perturb_noise_region_pure_noise():
     sched = PerturbationSchedule(alpha_t=20, beta_t=10, s=0.3)
-    g = np.array([4.0, 4.0])
-    out = perturb_guidance(g, 30, sched, RngStream(2, "p"))
+    g = np.array([[4.0, 4.0]])
+    out = perturb_guidance(g, 30, sched, [RngStream(2, "p")])
     eps = gaussian(RngStream(2, "p"), (2,))
-    np.testing.assert_array_equal(out, 0.3 * eps)
+    np.testing.assert_array_equal(out, 0.3 * eps[None])
 
 
 def test_perturb_ramp_replay_oracle():
-    # gamma = 0.5 at the midpoint: g + s * sqrt(0.5) * eps with recorded eps
+    # gamma = 0.5 at the midpoint: g + s * sqrt(0.5) * eps, row j's eps
+    # recorded from its own stream
     sched = PerturbationSchedule(alpha_t=20, beta_t=10, s=0.1)
-    g = np.array([1.0, 0.0, -1.0])
-    out = perturb_guidance(g, 15, sched, RngStream(3, "p"))
-    eps = gaussian(RngStream(3, "p"), (3,))
+    g = np.array([[1.0, 0.0, -1.0], [0.5, 2.0, 0.0]])
+    out = perturb_guidance(g, 15, sched, [RngStream(3, "p"), RngStream(4, "p")])
+    eps = np.stack([gaussian(RngStream(3, "p"), (3,)), gaussian(RngStream(4, "p"), (3,))])
     np.testing.assert_allclose(out, g + 0.1 * np.sqrt(0.5) * eps, atol=1e-15)
+
+
+@pytest.mark.parametrize("g, count", [(np.zeros((2, 3)), 3), (np.zeros((3, 2)), 2),
+                                      (np.zeros(3), 3)])
+def test_perturb_rejects_rows_not_one_per_stream(g, count):
+    sched = PerturbationSchedule(alpha_t=20, beta_t=10, s=0.1)
+    streams = [RngStream(5, f"p{j}") for j in range(count)]
+    with pytest.raises(ShapeError, match="one row per stream"):
+        perturb_guidance(g, 15, sched, streams)
 
 
 # ------------------------------------------------------------ reduction
@@ -73,7 +84,7 @@ def test_generate_requires_frozen_net(tiny_ring):
     schedule, _, _, _ = tiny_ring
     from crdi.diffusion import NoiseNet
     from crdi.numerics import Mlp
-    net = NoiseNet(backbone=Mlp.zeros([34, 2]), d=2, T=schedule.T)
+    net = NoiseNet(backbone=Mlp.zeros([34, 2]), T=schedule.T)
     rmap = RigidityMap(eta=1, t_lo=0, t_hi=schedule.T)
     with pytest.raises(InvalidArgumentError):
         generate(net, schedule, SgeSet.zeros(1, 2, rmap),
@@ -111,17 +122,6 @@ def fitted_tiny(tiny_ring):
                       SgeFitConfig(lr=0.05, iterations=600, lam=0.1),
                       RngStream(6, "fit"))
     return schedule, net, sge_set
-
-
-@pytest.mark.parametrize("guidance", ["per-sample", "mean"])
-@pytest.mark.parametrize("start_sample", [5, -1])
-def test_generate_rejects_unknown_start_sample(fitted_tiny, guidance, start_sample):
-    schedule, net, sge_set = fitted_tiny  # three samples
-    with pytest.raises(InvalidArgumentError, match="unknown sample id"):
-        generate(net, schedule, sge_set,
-                 guidance=guidance, start="noised", start_sample=start_sample,
-                 perturb=PerturbationSchedule(alpha_t=40, beta_t=20, s=0.1),
-                 plan=make_plan(schedule, 10), count=2, stream=RngStream(11, "gen"))
 
 
 def test_reconstruct_deterministic(fitted_tiny):
@@ -185,7 +185,7 @@ def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     from crdi.numerics import Mlp
 
     sched1 = linear_schedule(50, 1e-4, 0.02)
-    net = NoiseNet(backbone=Mlp.zeros([1 + 32, 1]), d=1, T=50).freeze()
+    net = NoiseNet(backbone=Mlp.zeros([1 + 32, 1]), T=50).freeze()
     target = np.array([1.5])
     alpha_t = 24
     # replicate the noise reconstruct() will draw for the start state
@@ -201,29 +201,25 @@ def test_one_dimensional_closed_form_guidance_reconstructs_exactly():
     assert abs(out[0] - target[0]) < 1e-10
 
 
-@pytest.mark.parametrize("guidance, start, start_sample", [
-    pytest.param("per-sample", "noised", None, id="per-sample"),
-    pytest.param("mean", "noised", None, id="mean"),
-    pytest.param("mean", "prior", None, id="mean-prior"),
-    pytest.param("per-sample", "noised", 1, id="per-sample-start_sample"),
+@pytest.mark.parametrize("guidance, start", [
+    pytest.param("per-sample", "noised", id="per-sample"),
+    pytest.param("mean", "noised", id="mean"),
+    pytest.param("mean", "prior", id="mean-prior"),
 ])
-def test_generate_draw_order_per_chain(fitted_tiny, guidance, start, start_sample):
+def test_generate_draw_order_per_chain(fitted_tiny, guidance, start):
     # chain j draws from its own stream: the embedding choice (per-sample) or
-    # the start target choice (mean), unless start_sample fixes it or mean
-    # guidance from the prior needs none, the start noise, then one
-    # perturbation per perturbed step; the chains then advance as one batch
+    # the start target choice (mean), unless mean guidance from the prior
+    # needs none, the start noise, then one perturbation per perturbed step;
+    # the chains then advance as one batch
     schedule, net, sge_set = fitted_tiny
     plan = make_plan(schedule, 15)
     sched = PerturbationSchedule(alpha_t=40, beta_t=20, s=0.3)
     samples = generate(net, schedule, sge_set, guidance=guidance, start=start,
-                       start_sample=start_sample, perturb=sched, plan=plan, count=5,
-                       stream=RngStream(12, "gen"))
+                       perturb=sched, plan=plan, count=5, stream=RngStream(12, "gen"))
 
     t_start = start_step(plan, sge_set.rmap, start, sched.alpha_t)
     streams = [RngStream(12, "gen").child(f"out{j}") for j in range(5)]
-    if start_sample is not None:
-        choice = [start_sample] * 5
-    elif guidance == "mean" and start == "prior":
+    if guidance == "mean" and start == "prior":
         choice = [None] * 5
     else:
         choice = [st.randint(0, 2) for st in streams]
@@ -239,8 +235,8 @@ def test_generate_draw_order_per_chain(fitted_tiny, guidance, start, start_sampl
         if t > t_start:
             continue
         seg = segment_for(sge_set.rmap, t)
-        g = np.stack([perturb_guidance(segs[seg], t, sched, st)
-                      for segs, st in zip(own, streams)])
+        g = np.concatenate([perturb_guidance(segs[seg][None], t, sched, [st])
+                            for segs, st in zip(own, streams)])
         perturbed += t > sched.beta_t
         x = ddim_step(schedule, x, t, t_prev, guided_noise(net, schedule, x, t, g))
     assert perturbed >= 2
@@ -249,23 +245,18 @@ def test_generate_draw_order_per_chain(fitted_tiny, guidance, start, start_sampl
 
 # ------------------------------------------------------------ diversity
 
-def _mean_pairwise(samples: np.ndarray) -> float:
-    d = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=-1)
-    iu = np.triu_indices(samples.shape[0], k=1)
-    return float(d[iu].mean())
-
-
 def test_perturbation_scale_orders_diversity(fitted_tiny):
+    # on the same streams every chain picks the same sample and start noise
+    # at every s, so its distance from its s = 0 output is the perturbation's
+    # own contribution, and on average over the chains it grows with s
     schedule, net, sge_set = fitted_tiny
     plan = make_plan(schedule, 15)
 
-    def spread(s):
-        # one shared start target isolates the perturbation's contribution
+    def chains(s):
         sched = PerturbationSchedule(alpha_t=schedule.T, beta_t=30, s=s)
-        return _mean_pairwise(generate(net, schedule, sge_set, guidance="per-sample",
-                                       start="noised", start_sample=0, perturb=sched,
-                                       plan=plan, count=64, stream=RngStream(10, "gen")))
+        return generate(net, schedule, sge_set, guidance="per-sample", start="noised",
+                        perturb=sched, plan=plan, count=64, stream=RngStream(10, "gen"))
 
-    spreads = [spread(s) for s in (0.0, 0.05, 0.1, 0.25)]
-    assert all(a <= b + 1e-12 for a, b in zip(spreads, spreads[1:]))
-    assert spreads[2] > spreads[0]  # strict at s = 0.1 vs s = 0
+    base = chains(0.0)
+    shifts = [float(np.linalg.norm(chains(s) - base, axis=1).mean()) for s in (0.05, 0.1, 0.25)]
+    assert 0.0 < shifts[0] < shifts[1] < shifts[2]

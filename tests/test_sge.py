@@ -16,7 +16,7 @@ from crdi.sge import (_FIT_BLOCK, SgeFitConfig, SgeSet, fit_sge, guided_noise, l
 
 def _zero_net(d: int, T: int) -> NoiseNet:
     from crdi.diffusion import TIME_EMBED_DIM
-    net = NoiseNet(backbone=Mlp.zeros([d + TIME_EMBED_DIM, d]), d=d, T=T)
+    net = NoiseNet(backbone=Mlp.zeros([d + TIME_EMBED_DIM, d]), T=T)
     return net.freeze()
 
 
@@ -225,7 +225,7 @@ def test_fit_leaves_net_untouched(tiny_ring):
 
 
 def test_fit_requires_frozen_net(sched):
-    net = NoiseNet(backbone=Mlp.zeros([2 + 32, 2]), d=2, T=sched.T)
+    net = NoiseNet(backbone=Mlp.zeros([2 + 32, 2]), T=sched.T)
     with pytest.raises(InvalidArgumentError):
         fit_sge(net, sched, np.array([[0.0, 0.0]]),
                 RigidityMap(eta=1, t_lo=0, t_hi=sched.T),
@@ -233,7 +233,7 @@ def test_fit_requires_frozen_net(sched):
 
 
 def test_fit_rejects_window_above_T(sched):
-    net = NoiseNet(backbone=Mlp.zeros([2 + 32, 2]), d=2, T=sched.T).freeze()
+    net = NoiseNet(backbone=Mlp.zeros([2 + 32, 2]), T=sched.T).freeze()
     with pytest.raises(InvalidArgumentError, match=f"window top {sched.T + 1} above T"):
         fit_sge(net, sched, np.array([[0.0, 0.0]]),
                 RigidityMap(eta=1, t_lo=sched.T, t_hi=sched.T + 1),

@@ -689,7 +689,7 @@ def test_report_cluster_rule_names_the_assignment():
         cfg = _fast_config(source__kind=kind, target__kind=kind, run__k=2,
                            run__count=4, run__eval_count=8)
         d = int(np.prod(sample_shape(cfg.domain_spec("target"))))
-        net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), d, cfg["schedule"]["T"]).freeze()
+        net = NoiseNet(Mlp.zeros([d + TIME_EMBED_DIM, d]), cfg["schedule"]["T"]).freeze()
         targets = flatten(synth_domain(cfg.domain_spec("target"), 2))
         sge_set = SgeSet.zeros(2, d, cfg.rigidity_map(), targets=targets)
         samples = flatten(synth_domain(cfg.domain_spec("source"), 4))
@@ -872,6 +872,19 @@ def test_cli_staged_commands_drop_the_report_record(tmp_path):
     res = _cli("evaluate", "--config", record[1], "--out", out)
     assert res.exit_code == 0, res.output
     assert not record[0].exists() and record[1].is_file()
+
+
+def test_cli_staged_commands_drop_a_failed_marker(tmp_path):
+    _, bad_path = _config_file(tmp_path, "bad.toml",
+                               train__checkpoint=_foreign_checkpoint(tmp_path, 2, 120))
+    _, good_path = _config_file(tmp_path, "good.toml")
+    out = tmp_path / "out"
+    assert _cli("report", "--config", bad_path, "--out", out).exit_code == 2
+    assert "stage: train-source" in (out / "failed").read_text()
+    for cmd in ("train-source", "fit-sge", "generate", "evaluate"):
+        res = _cli(cmd, "--config", good_path, "--out", out)
+        assert res.exit_code == 0, (cmd, res.output)
+        assert not (out / "failed").exists(), cmd
 
 
 def _foreign_checkpoint(tmp_path, d, T):
