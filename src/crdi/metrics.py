@@ -14,7 +14,7 @@ from .numerics import RngStream, gaussian
 _C1, _C2 = 0.01 ** 2, 0.03 ** 2
 _WINDOW, _SIGMA = 11, 1.5
 
-FEATURES = ("identity", "pixels", "random-projection")
+FEATURES = ("identity", "random-projection")
 DIRECTIONS = ("per-target", "per-generated")
 
 _NOTE = "feature extractors are desk-scale substitutes; values are internally comparable only"
@@ -24,8 +24,8 @@ _NOTE = "feature extractors are desk-scale substitutes; values are internally co
 class FeatureExtractor:
     """Deterministic feature map standing in for a perception network.
 
-    kinds: "identity" (points), "pixels" (flattened images),
-    "random-projection" (seeded Gaussian projection to `dim`).
+    kinds: "identity" (the samples as flat rows: points, or images
+    flattened), "random-projection" (seeded Gaussian projection to `dim`).
     """
 
     kind: str = "identity"
@@ -179,9 +179,10 @@ def intra_diversity(generated, targets, extractor: FeatureExtractor,
             cluster_vals.append(0.0)
             continue
         any_pair = True
-        diff = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=-1)
-        iu = np.triu_indices(m, k=1)
-        cluster_vals.append(float(diff[iu].mean()))
+        # the upper triangle row by row: O(m d) memory where an (m, m, d)
+        # difference array took O(m^2 d), with the same values in the same order
+        dists = [np.linalg.norm(members[i] - members[i + 1:], axis=-1) for i in range(m - 1)]
+        cluster_vals.append(float(np.concatenate(dists).mean()))
     value = float(np.mean(cluster_vals)) if cluster_vals else 0.0
     return value, (not any_pair)
 

@@ -101,11 +101,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / _silu_denominator(x)
 
 
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    """SiLU's derivative; kept public as the tests' reference for the tape's."""
-    return _silu_grad_from(x, _silu_denominator(x))
-
-
 @dataclass
 class Mlp:
     """Fully connected net: SiLU on hidden layers, identity output.
@@ -229,6 +224,12 @@ def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray, tape: list,
 # Adam's moment decay rates and denominator guard (Kingma & Ba's values).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
+# Entries per block of adam_step's update, 128 KB per float64 temporary: an
+# update of the sprite net's 205,568 parameters allocates two such blocks,
+# not two 1.6 MB copies of the vector, whose pages the allocator returned to
+# the system and faulted in again.
+_ADAM_BLOCK = 16384
+
 
 def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
               lr: float) -> None:
@@ -237,6 +238,10 @@ def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p = p - lr (m / c1) / (sqrt(v / c2) + eps). ``t`` is the 1-based count of
     updates p has had, this one included. A rejected step writes nothing.
+
+    Arrays of more than ``_ADAM_BLOCK`` entries are updated in consecutive
+    slices along their first axis of at most that many entries (at least one
+    row); every operation is elementwise, so the result is the same.
     """
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")
@@ -245,6 +250,17 @@ def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     if t < 1:
         raise InvalidArgumentError(f"update count t must be >= 1, got {t}")
     c1, c2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
+    if p.size <= _ADAM_BLOCK:
+        _adam_update(p, g, m, v, c1, c2, lr)
+        return
+    rows = max(1, _ADAM_BLOCK * p.shape[0] // p.size)
+    for lo in range(0, p.shape[0], rows):
+        b = slice(lo, lo + rows)
+        _adam_update(p[b], g[b], m[b], v[b], c1, c2, lr)
+
+
+def _adam_update(p, g, m, v, c1: float, c2: float, lr: float) -> None:
+    """adam_step's update of one block, with its bias corrections c1, c2."""
     m *= _BETA1
     tmp = (1.0 - _BETA1) * g
     m += tmp

@@ -1,4 +1,6 @@
 """Metric battery: SSIM, mode-coverage SSIM, Frechet distance, diversity."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,9 +221,74 @@ def test_diversity_image_assignment_uses_ssim():
     base = _random_images("div", 2)
     gen = np.stack([base[0], base[0] + 0.01, base[1], base[1] - 0.01])
     targets = np.stack(base)
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("pixels"),
+    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"),
                                       images=True)
     assert not degenerate and val > 0.0
+
+
+def _broadcast_diversity(generated, targets, extractor, images=False):
+    """intra_diversity as it was before it formed distances row by row: one
+    (m, m, d) difference array per cluster, its upper triangle averaged."""
+    generated = np.asarray(generated, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    feats = extractor(generated)
+    if images:
+        assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
+                           for g in generated])
+    else:
+        feat_t = extractor(targets)
+        dists = np.linalg.norm(feats[:, None, :] - feat_t[None, :, :], axis=-1)
+        assign = np.argmin(dists, axis=1)
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    feats = feats / np.where(norms > 0, norms, 1.0)
+    cluster_vals, any_pair = [], False
+    for c in np.unique(assign):
+        members = feats[assign == c]
+        m = members.shape[0]
+        if m < 2:
+            cluster_vals.append(0.0)
+            continue
+        any_pair = True
+        diff = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=-1)
+        cluster_vals.append(float(diff[np.triu_indices(m, k=1)].mean()))
+    value = float(np.mean(cluster_vals)) if cluster_vals else 0.0
+    return value, (not any_pair)
+
+
+def _diversity_cases():
+    stream = RngStream(12, "div-cases")
+    one = (gaussian(stream, (200, 64)), gaussian(stream, (1, 64)), False)
+    many = (gaussian(stream, (96, 16)), gaussian(stream, (9, 16)), False)
+    # each generated point sits by its own target
+    spots = 10.0 * gaussian(stream, (6, 3))
+    singletons = (spots + 0.01 * gaussian(stream, (6, 3)), spots, False)
+    imgs = np.clip(0.5 + 0.2 * gaussian(stream, (20, 16, 16)), 0.0, 1.0)
+    images = (imgs, imgs[:3], True)
+    return {"one-cluster": one, "many-clusters": many, "singletons": singletons,
+            "images": images}
+
+
+@pytest.mark.parametrize("case", ["one-cluster", "many-clusters", "singletons", "images"])
+def test_diversity_bit_equal_to_broadcast_formula(case):
+    gen, targets, images = _diversity_cases()[case]
+    ident = FeatureExtractor("identity")
+    value, degenerate = intra_diversity(gen, targets, ident, images=images)
+    ref_value, ref_degenerate = _broadcast_diversity(gen, targets, ident, images=images)
+    assert (value.hex(), degenerate) == (ref_value.hex(), ref_degenerate)
+    assert degenerate == (case == "singletons")
+
+
+def test_diversity_memory_is_bounded():
+    # one 200-member cluster of 256-dim features: (200, 200, 256) differences
+    # would take 82 MB per array
+    gen = gaussian(RngStream(13, "div-memory"), (200, 256))
+    tracemalloc.start()
+    try:
+        intra_diversity(gen, gen[:1], FeatureExtractor("identity"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_diversity_validation():
@@ -240,7 +307,7 @@ def test_feature_extractors_deterministic():
     np.testing.assert_array_equal(proj(x), proj(x))
     assert proj(x).shape == (6, 4)
     imgs = gaussian(RngStream(8, "im"), (3, 5, 5))
-    assert FeatureExtractor("pixels")(imgs).shape == (3, 25)
+    assert FeatureExtractor("identity")(imgs).shape == (3, 25)
     with pytest.raises(InvalidArgumentError, match="unknown feature kind 'vgg'"):
         FeatureExtractor("vgg")
 

@@ -1,12 +1,24 @@
 """Numeric substrate: RNG streams, the MLP, reverse-mode gradients, Adam."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crdi import numerics
 from crdi.errors import InvalidArgumentError, NumericError, ShapeError
 from crdi.numerics import (Mlp, RngStream, adam_step, gaussian, layer_views,
-                           mlp_backward, mlp_forward, silu, silu_grad)
+                           mlp_backward, mlp_forward, silu)
+
+
+def silu_grad(x):
+    """SiLU's derivative from a fresh exp, the reference for the one the
+    tape forms from its stored 1 + exp(-x); exp(-x) overflows to inf below
+    x = -709.78, which gives the exact limit -0."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 + x * (1.0 - s))
 
 
 # ---------------------------------------------------------------- RngStream
@@ -463,6 +475,51 @@ def test_adam_through_a_segment_view_changes_only_that_slot():
         assert now[others].tobytes() == then[others].tobytes()
         assert now[1, 2].tobytes() == slot.tobytes()
         assert not np.array_equal(now[1, 2], then[1, 2])
+
+
+def _adam_vectors(n, seed):
+    """p, m, v and two gradients of n entries, with non-zero moments."""
+    stream = RngStream(seed, "adam-blocks")
+    p, m, g1, g2 = (gaussian(stream, (n,)) for _ in range(4))
+    return p, m, gaussian(stream, (n,)) ** 2, g1, g2
+
+
+def test_adam_blocked_matches_pure_reference():
+    # two whole blocks and a 3-entry tail, from earlier updates: each step is
+    # bit-equal to one unblocked pass
+    n = 2 * numerics._ADAM_BLOCK + 3
+    p, m, v, g1, g2 = _adam_vectors(n, 5)
+    ref_p, ref_m, ref_v, ref_t = p.copy(), m.copy(), v.copy(), 4
+    for t, g in ((5, g1), (6, g2)):
+        adam_step(p, g, m, v, t, lr=0.01)
+        ref_p, ref_m, ref_v, ref_t = _pure_adam_step(ref_p, g, ref_m, ref_v, ref_t, lr=0.01)
+        assert ref_t == t
+        assert (p.tobytes(), m.tobytes(), v.tobytes()) == \
+            (ref_p.tobytes(), ref_m.tobytes(), ref_v.tobytes())
+
+
+def test_adam_blocked_rejection_writes_no_block():
+    # a NaN in the last block is seen before the first block is written
+    n = 2 * numerics._ADAM_BLOCK + 3
+    p, m, v, g, _ = _adam_vectors(n, 6)
+    g[-1] = np.nan
+    before = [a.tobytes() for a in (p, m, v)]
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        adam_step(p, g, m, v, 3, lr=0.01)
+    assert [a.tobytes() for a in (p, m, v)] == before
+
+
+def test_adam_step_memory_is_bounded():
+    # the sprite net's parameter count: its temporaries are two blocks, not
+    # two copies of the vector (3.1 MB)
+    p, m, v, g, _ = _adam_vectors(205_568, 7)
+    tracemalloc.start()
+    try:
+        adam_step(p, g, m, v, 2, lr=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------- properties

@@ -1186,6 +1186,22 @@ def test_cli_subnormal_schedule_exits_before_any_stage(tmp_path):
     assert not out.exists()
 
 
+def test_cli_rejects_pixels_feature(tmp_path):
+    # "pixels" ran the same code as "identity", the one name left for flat rows
+    with pytest.raises(ConfigError, match="unknown feature 'pixels' for metrics.feature"):
+        ExperimentConfig.defaults(metrics__feature="pixels")
+    _, cfg_path = _config_file(tmp_path)
+    text = cfg_path.read_text()
+    assert 'feature = "identity"' in text
+    cfg_path.write_text(text.replace('feature = "identity"', 'feature = "pixels"'))
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "unknown feature 'pixels' for metrics.feature" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_cli_sweep_rejects_unknown_string_value_before_running(tmp_path):
     _, cfg_path = _config_file(tmp_path)
     out = tmp_path / "sweep"

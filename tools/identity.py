@@ -1,0 +1,157 @@
+"""Byte-identity check of the working tree against a parent revision.
+
+    python3 tools/identity.py --parent HEAD
+    python3 tools/identity.py --parent HEAD~1 --expect 'sprite/report.*'
+
+Exports ``src/`` of the parent revision with ``git archive`` into a temporary
+directory, then runs a fixed set of pipeline configs with the parent's
+``src/`` and with the working tree's, each under the default BLAS threads and
+under ``OPENBLAS_NUM_THREADS=1``: four child processes, one after another.
+The set is five ``run_experiment`` configs and one ``sge.eta`` sweep:
+
+- ``crit9``: the acceptance battery's criterion-9 config;
+- ``ring``: the pinned ring config (T=400, 2500 train steps, hidden 96,96);
+- ``ring-mean-prior``: ``ring`` with ``run.guidance = "mean"`` and
+  ``run.start = "prior"``;
+- ``ring-no-perturbation``: ``ring`` with ``run.ablation = "no-perturbation"``;
+- ``sprite``: 300 train steps of a 128-wide sprite net, then a fit with
+  ``sge.coupling = "independent"``;
+- ``sweep``: ``sge.eta`` over 1, 8 and 25 on a 400-step ring config.
+
+Every file a run writes is compared by its SHA-256 digest, except
+``manifest.json``, whose stage times differ from run to run: this covers
+every artifact of each manifest's ``sha256`` map and also ``sweep.csv``.
+The script prints one table row per tree pair (parent against working tree,
+same threads) and per thread pair (default against one thread, same tree),
+and exits 1 when a tree pair differs in a file that no ``--expect`` pattern
+(an ``fnmatch`` pattern over ``config/relative/path``) names. A difference
+between thread settings is printed but does not fail the check: ``frechet``
+goes through LAPACK, whose last bits depend on the thread count.
+"""
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CRIT9 = dict(schedule__T=60, inference__steps=10, train__steps=150, train__batch=32,
+             train__hidden="24,24", sge__iterations=80, sge__lr=0.05,
+             run__count=12, run__eval_count=48, run__k=3)
+RING = dict(schedule__T=400, train__steps=2500, train__batch=128, train__hidden="96,96",
+            sge__iterations=1500, sge__eta=8, sge__lr=0.05, run__k=10, run__count=64)
+SPRITE = dict(source__kind="sprite-images", target__kind="sprite-images",
+              schedule__T=400, train__steps=300, train__batch=64, train__hidden="128,128",
+              train__lr=8e-4, sge__iterations=200, sge__eta=8, sge__lr=0.05,
+              sge__coupling="independent", sge__window_hi_frac=0.8,
+              perturb__alpha_frac=0.8, perturb__beta_frac=0.5, run__k=4, run__count=16,
+              run__eval_count=16)
+RUNS = {
+    "crit9": CRIT9,
+    "ring": RING,
+    "ring-mean-prior": dict(RING, run__guidance="mean", run__start="prior"),
+    "ring-no-perturbation": dict(RING, run__ablation="no-perturbation"),
+    "sprite": SPRITE,
+}
+SWEEP = ("sweep", dict(RING, train__steps=400, sge__iterations=300), "sge.eta", [1, 8, 25])
+
+THREADS = {"default": None, "1-thread": "1"}
+STRIPPED_ENV = ("CRDI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_all(out: Path):
+    """Child mode: run every config with the crdi found on sys.path."""
+    from crdi.workbench import ExperimentConfig
+    from crdi.workbench.experiment import run_experiment, sweep
+    for name, kwargs in RUNS.items():
+        run_experiment(ExperimentConfig.defaults(**kwargs), out / name)
+    name, kwargs, param, values = SWEEP
+    sweep(ExperimentConfig.defaults(**kwargs), param, values, out / name)
+
+
+def digests(out: Path) -> dict:
+    """relative path -> SHA-256 of every file under ``out`` but manifest.json."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def differing(a: dict, b: dict) -> list:
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """``src/`` of ``rev``, extracted under ``dest``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_tree(src: Path, threads: str | None, out: Path):
+    env = {k: v for k, v in os.environ.items() if k not in STRIPPED_ENV}
+    env["PYTHONPATH"] = str(src)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(out)],
+                   env=env, check=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="git revision to compare the working tree against")
+    ap.add_argument("--expect", action="append", default=[],
+                    help="fnmatch pattern of a file allowed to differ between the trees "
+                         "(config/relative/path); repeatable")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        run_all(Path(args.child))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="crdi-identity-") as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": export_src(args.parent, tmp / "parent"), "tree": ROOT / "src"}
+        sums = {}
+        for tree, src in trees.items():
+            for label, threads in THREADS.items():
+                out = tmp / "runs" / f"{tree}-{label}"
+                run_tree(src, threads, out)
+                sums[tree, label] = digests(out)
+
+    rows, unexpected = [], []
+    for label in THREADS:
+        diff = differing(sums["parent", label], sums["tree", label])
+        rows.append((f"parent vs tree, {label}", diff))
+        unexpected += [f"{label}: {k}" for k in diff
+                       if not any(fnmatch.fnmatch(k, pat) for pat in args.expect)]
+    for tree in trees:
+        rows.append((f"default vs 1-thread, {tree}",
+                     differing(sums[tree, "default"], sums[tree, "1-thread"])))
+
+    print(f"parent {args.parent}; {len(sums['tree', 'default'])} files per run; "
+          f"expected: {', '.join(args.expect) or 'none'}")
+    print("| comparison | differing files |")
+    print("| --- | --- |")
+    for what, diff in rows:
+        print(f"| {what} | {', '.join(diff) or 'none'} |")
+    print(json.dumps({"seconds": round(time.perf_counter() - t0, 1),
+                      "unexpected": unexpected}))
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
