@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, ShapeError, check_choice
 from .numerics import RngStream, gaussian
@@ -74,9 +73,19 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
                      ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2)))
 
     # The five window moments in one batched matmul, one gemv per moment; a
-    # single (5M, 121) gemv would round the remainder rows differently.
-    w = sliding_window_view(np.stack([a, b, a * a, b * b, a * b]), (_WINDOW, _WINDOW),
-                            axis=(1, 2))
+    # single (5M, 121) gemv would round the remainder rows differently. The
+    # maps are written in place and their 11 x 11 windows over the first two
+    # image axes are a strided view over them, the view sliding_window_view
+    # gives: np.stack and sliding_window_view cost more per call than the
+    # products.
+    maps = np.empty((5, *a.shape))
+    maps[0], maps[1] = a, b
+    np.multiply(a, a, out=maps[2])
+    np.multiply(b, b, out=maps[3])
+    np.multiply(a, b, out=maps[4])
+    strides = maps.strides
+    w = np.ndarray((5, a.shape[0] - _WINDOW + 1, a.shape[1] - _WINDOW + 1, *a.shape[2:],
+                    _WINDOW, _WINDOW), np.float64, maps, strides=(*strides, *strides[1:3]))
     mu_a, mu_b, ea, eb, eab = w.reshape(5, -1, _WINDOW * _WINDOW) @ _KERNEL.reshape(-1)
     va, vb = ea - mu_a ** 2, eb - mu_b ** 2
     cov = eab - mu_a * mu_b

@@ -6,13 +6,20 @@ import numpy as np
 
 from .diffusion import NoiseNet, ddim_step, noise_to
 from .errors import InvalidArgumentError, ShapeError, check_choice
-from .numerics import RngStream, gaussian
+from .numerics import RngStream, box_muller
 from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
                         RigidityMap, gamma, segment_for)
 from .sge import SgeSet, guided_noise
 
 GUIDANCE = ("per-sample", "mean")
 STARTS = ("noised", "prior")
+
+
+def _stream_normals(streams: list, d: int) -> np.ndarray:
+    """(len(streams), d) standard normals, row j drawn from ``streams[j]``:
+    row by row the bits of ``gaussian(streams[j], (d,))``, in one Box-Muller
+    call over the stacked uniforms."""
+    return box_muller(np.stack([st.uniform(2 * ((d + 1) // 2)) for st in streams]), d)
 
 
 def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
@@ -30,7 +37,7 @@ def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
         return g
     if sched.s == 0.0:
         return np.zeros_like(g) if gm <= 0.0 else g
-    eps = np.stack([gaussian(st, g.shape[1:]) for st in streams])
+    eps = _stream_normals(streams, g.shape[1])
     if gm <= 0.0:
         return sched.s * eps
     return g + sched.s * np.sqrt(1.0 - gm) * eps
@@ -67,7 +74,7 @@ def _run_chains(net: NoiseNet, schedule: NoiseSchedule, segments: np.ndarray,
     """
     if not net.frozen:
         raise InvalidArgumentError("generation requires a frozen net")
-    x = np.stack([gaussian(st, (net.d,)) for st in streams])
+    x = _stream_normals(streams, net.d)
     if targets is not None:
         x = noise_to(schedule, targets, t_start, x)
     for t, t_prev in plan.steps_down():

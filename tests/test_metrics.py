@@ -74,6 +74,31 @@ def test_ssim_matches_per_moment_tensordot(shape):
         assert ssim(a, b) == _tensordot_ssim(a, b)
 
 
+def _sliding_window_ssim(a, b):
+    """The windowed SSIM over sliding_window_view's (5, h', w', 11, 11) view
+    of the stacked maps: the reference ssim's directly built view must match
+    bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from crdi.metrics import _C1, _C2, _KERNEL
+    w = sliding_window_view(np.stack([a, b, a * a, b * b, a * b]), _KERNEL.shape, axis=(1, 2))
+    mu_a, mu_b, ea, eb, eab = w.reshape(5, -1, _KERNEL.size) @ _KERNEL.reshape(-1)
+    va, vb = ea - mu_a ** 2, eb - mu_b ** 2
+    cov = eab - mu_a * mu_b
+    local = ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / \
+            ((mu_a ** 2 + mu_b ** 2 + _C1) * (va + vb + _C2))
+    return float(local.mean())
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (17, 23), (16, 17, 16)])
+def test_ssim_matches_sliding_window_view(shape):
+    stream = RngStream(10, f"windows{shape}")
+    for _ in range(20):
+        a = stream.uniform(int(np.prod(shape))).reshape(shape)
+        b = np.clip(a + 0.3 * gaussian(stream, shape), 0.0, 1.0)
+        assert ssim(a, b) == _sliding_window_ssim(a, b)
+
+
 def test_ssim_validation():
     with pytest.raises(ShapeError):
         ssim(np.zeros((4, 4)), np.zeros((4, 5)))

@@ -6,7 +6,7 @@ import pytest
 from crdi.diffusion import ddim_step, eps_theta, noise_to
 from crdi.errors import InvalidArgumentError, ShapeError
 from crdi.numerics import RngStream, gaussian
-from crdi.sampler import generate, perturb_guidance, reconstruct, start_step
+from crdi.sampler import _stream_normals, generate, perturb_guidance, reconstruct, start_step
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
                             make_plan, segment_for)
 from crdi.sge import SgeFitConfig, SgeSet, fit_sge, guided_noise
@@ -46,6 +46,19 @@ def test_perturb_ramp_replay_oracle():
     out = perturb_guidance(g, 15, sched, [RngStream(3, "p"), RngStream(4, "p")])
     eps = np.stack([gaussian(RngStream(3, "p"), (3,)), gaussian(RngStream(4, "p"), (3,))])
     np.testing.assert_allclose(out, g + 0.1 * np.sqrt(0.5) * eps, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 256])
+def test_stream_normals_match_per_stream_draws(d):
+    # one Box-Muller call over the stacked uniforms gives, row by row, the
+    # bits of one gaussian call per stream, and leaves each stream where
+    # that call would
+    streams = [RngStream(6, f"n{j}") for j in range(5)]
+    out = _stream_normals(streams, d)
+    replay = [RngStream(6, f"n{j}") for j in range(5)]
+    assert out.tobytes() == np.stack([gaussian(st, (d,)) for st in replay]).tobytes()
+    for st, ref in zip(streams, replay):
+        assert st.uniform(1).tobytes() == ref.uniform(1).tobytes()
 
 
 @pytest.mark.parametrize("g, count", [(np.zeros((2, 3)), 3), (np.zeros((3, 2)), 2),

@@ -310,11 +310,12 @@ def test_fit_metadata_recorded(sched):
 
 
 def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
-    """fit_sge written out test-side as the reference, one iteration at a
-    time: every sample's draws from its own stream, one net evaluation over
-    the N noised states (time features recomputed, not read from the
-    table), then one loss and one Adam step per sample on its active
-    segment, with moments kept per (sample, segment)."""
+    """fit_sge written out test-side as the reference: every sample's draws
+    from its own stream, one iteration at a time; one net evaluation per
+    block of _FIT_BLOCK iterations over the block's noised states, the same
+    rows per call as fit_sge (time features recomputed, not read from the
+    table); then, iteration by iteration, one loss and one Adam step per
+    sample on its active segment, with moments kept per (sample, segment)."""
     n, d = targets.shape
     streams = [stream.child(f"sample{i}") for i in range(n)]
     sqrt_ab = np.sqrt(schedule.alpha_bar)
@@ -322,25 +323,30 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
     segments = np.zeros((n, rmap.eta, d))
     mean = np.zeros((rmap.eta, d))
     states, losses = {}, [0.0] * n
-    for _ in range(config.iterations):
-        ts, eps, eps_prev = [], [], []
-        for st in streams:
-            ts.append(st.randint(max(rmap.t_lo, 1), rmap.t_hi))
-            eps.append(gaussian(st, (d,)))
-            eps_prev.append(eps[-1] if config.coupling == "coupled" else gaussian(st, (d,)))
-        ts = np.array(ts)
-        x_t = sqrt_ab[ts, None] * targets + sqrt_1mab[ts, None] * np.stack(eps)
-        eps_net = mlp_forward(net.backbone,
-                              np.concatenate([x_t, time_features(ts, net.T)], axis=-1))
-        for i, t in enumerate(ts.tolist()):
-            seg = segment_for(rmap, t)
-            losses[i], grad = sge_loss(eps_net[i], schedule, targets[i], t, x_t[i],
-                                       noise_to(schedule, targets[i], t - 1, eps_prev[i]),
-                                       segments[i, seg], mean[seg], config.lam)
-            m, v, t = states.get((i, seg), (np.zeros(d), np.zeros(d), 0))
-            adam_step(segments[i, seg], grad, m, v, t + 1, config.lr)
-            states[i, seg] = m, v, t + 1
-        mean = segments.mean(axis=0)
+    for start in range(0, config.iterations, _FIT_BLOCK):
+        block = []
+        for _ in range(min(_FIT_BLOCK, config.iterations - start)):
+            ts, eps, eps_prev = [], [], []
+            for st in streams:
+                ts.append(st.randint(max(rmap.t_lo, 1), rmap.t_hi))
+                eps.append(gaussian(st, (d,)))
+                eps_prev.append(eps[-1] if config.coupling == "coupled" else gaussian(st, (d,)))
+            ts = np.array(ts)
+            x_t = sqrt_ab[ts, None] * targets + sqrt_1mab[ts, None] * np.stack(eps)
+            block.append((ts, x_t, eps_prev))
+        all_ts = np.concatenate([ts for ts, _, _ in block])
+        eps_net = mlp_forward(net.backbone, np.concatenate(
+            [np.concatenate([x_t for _, x_t, _ in block]), time_features(all_ts, net.T)], axis=-1))
+        for j, (ts, x_t, eps_prev) in enumerate(block):
+            for i, t in enumerate(ts.tolist()):
+                seg = segment_for(rmap, t)
+                losses[i], grad = sge_loss(eps_net[j * n + i], schedule, targets[i], t, x_t[i],
+                                           noise_to(schedule, targets[i], t - 1, eps_prev[i]),
+                                           segments[i, seg], mean[seg], config.lam)
+                m, v, t = states.get((i, seg), (np.zeros(d), np.zeros(d), 0))
+                adam_step(segments[i, seg], grad, m, v, t + 1, config.lr)
+                states[i, seg] = m, v, t + 1
+            mean = segments.mean(axis=0)
     return segments, losses
 
 

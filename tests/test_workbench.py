@@ -497,9 +497,9 @@ def test_manifest_records_stage_times_and_environment(tmp_path, monkeypatch):
 
 def test_run_experiment_batches_net_calls(tmp_path, monkeypatch):
     # the benchmark's closed forms on a small ring run: the frozen net sees
-    # k * iterations + count * steps rows, in one call per fit iteration (k
-    # rows) and one per generate step (count rows), while sge_loss and
-    # adam_step still run once per (sample, iteration)
+    # k * iterations + count * steps rows, in one call per fit draw block
+    # (k rows per iteration of the block) and one per generate step (count
+    # rows), while sge_loss and adam_step still run once per (sample, iteration)
     import crdi.sge
     from crdi.sampler import start_step
     from crdi.workbench.experiment import run_experiment
@@ -524,7 +524,11 @@ def test_run_experiment_batches_net_calls(tmp_path, monkeypatch):
                          cfg.perturb_schedule().alpha_t)
     steps = sum(1 for t, _ in cfg.plan().steps_down() if t <= t_start)
     assert steps >= 2
-    assert rows == [k] * iterations + [count] * steps
+    full, rest = divmod(iterations, crdi.sge._FIT_BLOCK)
+    assert full >= 1
+    fit_rows = [k * crdi.sge._FIT_BLOCK] * full + ([k * rest] if rest else [])
+    assert rows == fit_rows + [count] * steps
+    assert sum(rows) == k * iterations + count * steps
     assert counts == {"sge_loss": k * iterations, "adam_step": k * iterations}
 
 

@@ -27,6 +27,12 @@ and exits 1 when a tree pair differs in a file that no ``--expect`` pattern
 (an ``fnmatch`` pattern over ``config/relative/path``) names. A difference
 between thread settings is printed but does not fail the check: ``frechet``
 goes through LAPACK, whose last bits depend on the thread count.
+
+A second table says how far the floats of each differing file moved: the
+largest absolute and relative difference of a ``.crdt`` tensor or of a
+``.crds`` set's segments and of its ``final_loss`` entries, and each
+``report.json`` metric's relative change. Relative differences are taken
+against the first run of the pair.
 """
 from __future__ import annotations
 
@@ -42,6 +48,8 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,6 +97,51 @@ def differing(a: dict, b: dict) -> list:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def _largest(a, b) -> tuple:
+    """(largest absolute, largest relative) difference of two float arrays;
+    a relative difference is taken against a, and is inf where a is 0 alone."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    diff = np.abs(b - a)
+    if not diff.size or not diff.any():
+        return 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(diff > 0, diff / np.abs(a), 0.0)
+    return float(diff.max()), float(rel.max())
+
+
+def float_moves(a: Path, b: Path) -> list:
+    """How far the floats of one file moved from run a to run b, one text
+    entry per quantity; empty for a file this reads no floats from."""
+    from crdi.sge import load_sge
+    from crdi.workbench.tensor_io import read_tensor
+
+    def moved(what, x, y):
+        if np.shape(x) != np.shape(y):
+            return f"{what} shape {np.shape(x)} -> {np.shape(y)}"
+        absolute, relative = _largest(x, y)
+        return f"{what} max abs {absolute:.3g}, max rel {relative:.3g}"
+
+    if a.suffix == ".crdt":
+        return [moved("values", read_tensor(a), read_tensor(b))]
+    if a.suffix == ".crds":
+        sa, sb = load_sge(a), load_sge(b)
+        loss = [[m.get("final_loss", np.nan) for m in s.meta] for s in (sa, sb)]
+        return [moved("segments", sa.segments, sb.segments), moved("final_loss", *loss)]
+    if a.name == "report.json":
+        ra, rb = (json.loads(p.read_text()) for p in (a, b))
+        out = []
+        for key, x in ra.items():
+            y = rb.get(key)
+            if isinstance(x, float) and isinstance(y, float):
+                if x != y:
+                    out.append(f"{key} {x!r} -> {y!r} (rel {_largest(x, y)[1]:.3g})")
+            elif isinstance(x, list) and isinstance(y, list) and x != y and \
+                    all(isinstance(v, float) for v in x + y):
+                out.append(moved(key, x, y))
+        return out
+    return []
+
+
 def export_src(rev: str, dest: Path) -> Path:
     """``src/`` of ``rev``, extracted under ``dest``."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -122,25 +175,30 @@ def main(argv=None) -> int:
         ap.error("--parent is required")
 
     t0 = time.perf_counter()
+    sys.path.insert(0, str(ROOT / "src"))   # float_moves' readers: the formats match across trees
+    # (name, run x, run y, whether a difference fails the check)
+    pairs = [(f"parent vs tree, {label}", ("parent", label), ("tree", label), True)
+             for label in THREADS]
+    pairs += [(f"default vs 1-thread, {tree}", (tree, "default"), (tree, "1-thread"), False)
+              for tree in ("parent", "tree")]
     with tempfile.TemporaryDirectory(prefix="crdi-identity-") as tmp:
         tmp = Path(tmp)
         trees = {"parent": export_src(args.parent, tmp / "parent"), "tree": ROOT / "src"}
-        sums = {}
+        outs, sums = {}, {}
         for tree, src in trees.items():
             for label, threads in THREADS.items():
-                out = tmp / "runs" / f"{tree}-{label}"
-                run_tree(src, threads, out)
-                sums[tree, label] = digests(out)
-
-    rows, unexpected = [], []
-    for label in THREADS:
-        diff = differing(sums["parent", label], sums["tree", label])
-        rows.append((f"parent vs tree, {label}", diff))
-        unexpected += [f"{label}: {k}" for k in diff
-                       if not any(fnmatch.fnmatch(k, pat) for pat in args.expect)]
-    for tree in trees:
-        rows.append((f"default vs 1-thread, {tree}",
-                     differing(sums[tree, "default"], sums[tree, "1-thread"])))
+                outs[tree, label] = tmp / "runs" / f"{tree}-{label}"
+                run_tree(src, threads, outs[tree, label])
+                sums[tree, label] = digests(outs[tree, label])
+        rows, moves, unexpected = [], [], []
+        for what, x, y, checked in pairs:
+            diff = differing(sums[x], sums[y])
+            rows.append((what, diff))
+            moves += [(what, k, m) for k in diff if k in sums[x] and k in sums[y]
+                      for m in float_moves(outs[x] / k, outs[y] / k)]
+            if checked:
+                unexpected += [f"{x[1]}: {k}" for k in diff
+                               if not any(fnmatch.fnmatch(k, pat) for pat in args.expect)]
 
     print(f"parent {args.parent}; {len(sums['tree', 'default'])} files per run; "
           f"expected: {', '.join(args.expect) or 'none'}")
@@ -148,6 +206,11 @@ def main(argv=None) -> int:
     print("| --- | --- |")
     for what, diff in rows:
         print(f"| {what} | {', '.join(diff) or 'none'} |")
+    if moves:
+        print("\n| comparison | file | how far its floats moved |")
+        print("| --- | --- | --- |")
+        for what, k, m in moves:
+            print(f"| {what} | {k} | {m} |")
     print(json.dumps({"seconds": round(time.perf_counter() - t0, 1),
                       "unexpected": unexpected}))
     return 1 if unexpected else 0
