@@ -83,37 +83,39 @@ def eps_theta(net: NoiseNet, x: np.ndarray, t) -> np.ndarray:
     return mlp_forward(net.backbone, np.concatenate([x, feat], axis=-1))
 
 
-def noise_to(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
-    """Forward noising: sqrt(ab_t) x0 + sqrt(1-ab_t) eps. t is one integer
-    step, or for a 2-D x0 an integer array with one step per row."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x0.shape != eps.shape:
-        raise ShapeError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    t = check_steps(t, schedule.T, x0)
+def _operands(schedule: NoiseSchedule, x, t, y, lo: int = 0):
+    """x and y as float arrays of one shape, and (sqrt(ab_t), sqrt(1-ab_t))
+    with t checked: one step, or for a 2-D x one step per row, as columns."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ShapeError(f"state shape {x.shape} != noise shape {y.shape}")
+    t = check_steps(t, schedule.T, x, lo)
     a, b = schedule.sqrt_ab(t), schedule.sqrt_one_minus_ab(t)
     if isinstance(t, np.ndarray):   # one step per row
         a, b = a[:, None], b[:, None]
+    return x, y, a, b
+
+
+def noise_to(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """Forward noising: sqrt(ab_t) x0 + sqrt(1-ab_t) eps. t is one integer
+    step, or for a 2-D x0 an integer array with one step per row."""
+    x0, eps, a, b = _operands(schedule, x0, t, eps)
     return a * x0 + b * eps
 
 
-def predict_x0(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps_hat: np.ndarray) -> np.ndarray:
-    """Direct x0 estimate from x_t and a noise prediction, for t in [1, T]."""
-    t = check_steps(t, schedule.T, lo=1)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if x_t.shape != eps_hat.shape:
-        raise ShapeError(f"x_t shape {x_t.shape} != eps_hat shape {eps_hat.shape}")
-    return (x_t - schedule.sqrt_one_minus_ab(t) * eps_hat) / schedule.sqrt_ab(t)
+def predict_x0(schedule: NoiseSchedule, x_t: np.ndarray, t, eps_hat: np.ndarray) -> np.ndarray:
+    """Direct x0 estimate from x_t and a noise prediction. t is one step in
+    [1, T], or for a 2-D x_t an integer array with one step per row."""
+    x_t, eps_hat, a, b = _operands(schedule, x_t, t, eps_hat, lo=1)
+    return (x_t - b * eps_hat) / a
 
 
 def ddim_step(schedule: NoiseSchedule, x_t: np.ndarray, t: int, t_prev: int,
               eps_hat: np.ndarray) -> np.ndarray:
     """Deterministic DDIM transition from timestep t to t_prev < t."""
-    x0_hat = predict_x0(schedule, x_t, t, eps_hat)
-    if t_prev >= t:
+    if t_prev >= check_steps(t, schedule.T, lo=1):
         raise InvalidArgumentError(f"t_prev={t_prev} must be < t={t}")
-    return noise_to(schedule, x0_hat, t_prev, eps_hat)
+    return noise_to(schedule, predict_x0(schedule, x_t, t, eps_hat), t_prev, eps_hat)
 
 
 def score_from_noise(schedule: NoiseSchedule, eps_hat: np.ndarray, t: int) -> np.ndarray:

@@ -58,14 +58,14 @@ _KERNEL.flags.writeable = False
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Structural similarity; global statistics below 16px, otherwise an
-    11-wide Gaussian-windowed local map averaged over the image."""
+    """Structural similarity; global statistics if the first two axes are not
+    both 16px or more, else an 11-wide Gaussian-windowed map over them, averaged."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
 
-    if a.ndim == 1 or min(a.shape) < 16:
+    if a.ndim == 1 or min(a.shape[:2]) < 16:
         mu_a, mu_b = a.mean(), b.mean()
         va, vb = a.var(), b.var()
         cov = ((a - mu_a) * (b - mu_b)).mean()

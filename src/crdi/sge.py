@@ -2,9 +2,10 @@
 composition, and the fitting loop with conditional relaxing and the
 set-wise mean penalty.
 
-The guidance enters the predicted noise linearly (the net is frozen), so
-the loss gradient w.r.t. the active segment has a closed form; it is
-still validated against finite differences in the test suite.
+The guidance enters the predicted noise linearly (the net is frozen), so a
+draw's residuals are linear in the active segment g: ``sge_loss`` is a
+quadratic in g over the ``residual_terms``, whose closed-form gradient the
+test suite checks against finite differences.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfmt
-from .diffusion import NoiseNet, eps_theta, noise_to
+from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
 from .numerics import RngStream, adam_step, box_muller, int_from_uniform
-from .schedules import NoiseSchedule, RigidityMap, check_steps, segment_for
+from .schedules import NoiseSchedule, RigidityMap, segment_for
 
 _SGE_MAGIC = b"CRDS"
 _SGE_VERSION = 1
@@ -110,38 +111,31 @@ class SgeFitConfig:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
 
 
-def sge_loss(eps_net: np.ndarray, schedule: NoiseSchedule, x0: np.ndarray, t: int,
-             x_t: np.ndarray, x_prev: np.ndarray, g: np.ndarray,
-             g_mean: np.ndarray, lam: float):
-    """Reconstruction + mean-penalty loss for one (t, eps) draw.
+def residual_terms(schedule: NoiseSchedule, x0: np.ndarray, t, x_t: np.ndarray,
+                   x_prev: np.ndarray, eps_net: np.ndarray):
+    """(u0, up, c0, cp): the g-free parts of the draws' residuals, over rows
+    with one step per row (or one row and step). With x_t = noise_to(x0, t,
+    eps), x_prev = noise_to(x0, t - 1, eps_prev) and eps_net = eps_theta(net,
+    x_t, t), guidance g shifts the noise to eps_net - sqrt(1 - ab_t) g; the
+    x0 estimate through it minus x0 is u0 + c0 g, and that estimate noised
+    to t - 1 minus x_prev is up + cp g, with c0 and cp one scalar per row."""
+    x0_hat = predict_x0(schedule, x_t, t, eps_net)
+    b = schedule.sqrt_one_minus_ab(t)
+    c0 = b * b / schedule.sqrt_ab(t)
+    cp = schedule.sqrt_ab(t - 1) * c0 - schedule.sqrt_one_minus_ab(t - 1) * b
+    return x0_hat - x0, noise_to(schedule, x0_hat, t - 1, eps_net) - x_prev, c0, cp
 
-    ``x_t`` is the noised state ``noise_to(schedule, x0, t, eps)`` and
-    ``eps_net`` the frozen net's prediction there, ``eps_theta(net, x_t, t)``;
-    it does not depend on g, and the guidance shifts it by
-    -sqrt(1 - ab_t) * g. Returns (loss, grad) where grad is d loss / d g for
-    the active segment vector g. The forward targets are x_t and ``x_prev``,
-    the state ``noise_to(schedule, x0, t - 1, eps_prev)``; neither depends on g.
-    t must be one step in [1, T].
-    """
-    t = check_steps(t, schedule.T, lo=1)
-    a_t = schedule.sqrt_one_minus_ab(t)
-    eps_hat = eps_net - a_t * g
-    # predict_x0 and then noise_to to t - 1, written out with the same
-    # operations: their argument checks took a third of this loss, which
-    # runs once per (sample, iteration)
-    x0_hat = (x_t - a_t * eps_hat) / schedule.sqrt_ab(t)
-    d0 = x0_hat - x0
-    dp = schedule.sqrt_ab(t - 1) * x0_hat + schedule.sqrt_one_minus_ab(t - 1) * eps_hat - x_prev
-    dg = g - g_mean
+
+def sge_loss(u0: np.ndarray, up: np.ndarray, c0, cp, g: np.ndarray,
+             g_mean: np.ndarray, lam: float):
+    """Reconstruction + mean-penalty loss of one draw, from its
+    ``residual_terms``: |u0 + c0 g|^2 + |up + cp g|^2 + lam |g - g_mean|^2.
+    Returns (loss, grad), grad being d loss / d g for the active segment g."""
+    d0, dp, dg = u0 + c0 * g, up + cp * g, g - g_mean
     loss = float(d0 @ d0 + dp @ dp + lam * (dg @ dg))
     if not math.isfinite(loss):
         raise NumericError("non-finite SGE loss")
-
-    # d eps_hat / d g = -a_t; chain through the two linear reconstructions
-    dx0_dg = a_t * a_t / schedule.sqrt_ab(t)
-    dxp_dg = schedule.sqrt_ab(t - 1) * dx0_dg - schedule.sqrt_one_minus_ab(t - 1) * a_t
-    grad = 2.0 * d0 * dx0_dg + 2.0 * dp * dxp_dg + 2.0 * lam * dg
-    return loss, grad
+    return loss, 2.0 * (c0 * d0 + cp * dp + lam * dg)
 
 
 def fit_window(rmap: RigidityMap, schedule: NoiseSchedule) -> tuple:
@@ -173,10 +167,11 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     (N, eta) array. The samples do not interact within an iteration: the
     penalty mean refreshes after each iteration.
 
-    The noised states, their t - 1 targets and the frozen net's prediction
-    do not depend on the embedding, so they are formed once per block of
-    ``_FIT_BLOCK`` iterations: one net call over the block's N * block rows.
-    The net's last bits may depend on how many rows share that call."""
+    The noised states, their t - 1 targets, the frozen net's prediction and
+    the ``residual_terms`` over them do not depend on the embedding, so they
+    are formed once per block of ``_FIT_BLOCK`` iterations: one net call over
+    the block's N * block rows. The per-sample loop reads rows of them. The
+    net's last bits may depend on how many rows share that call."""
     if not net.frozen:
         raise InvalidArgumentError("fit_sge requires a frozen net")
     targets = np.asarray(targets, dtype=np.float64)
@@ -201,15 +196,15 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
         # the block's (block * N, d) rows, row j * N + i for iteration j, sample i
         steps, x0 = ts.reshape(-1), np.tile(targets, (len(ts), 1))
         noised = noise_to(schedule, x0, steps, eps.reshape(-1, d))
-        prev = noise_to(schedule, x0, steps - 1, eps_prev.reshape(-1, d)).reshape(eps.shape)
-        eps_net = eps_theta(net, noised, steps).reshape(eps.shape)
-        noised = noised.reshape(eps.shape)
+        prev = noise_to(schedule, x0, steps - 1, eps_prev.reshape(-1, d))
+        terms = residual_terms(schedule, x0, steps, noised, prev, eps_theta(net, noised, steps))
+        u0, up, c0, cp = (r.reshape(*ts.shape, *r.shape[1:]) for r in terms)
         for j in range(len(ts)):
             for i, t in enumerate(ts[j].tolist()):
                 seg = segment_for(rmap, t)
                 g = segments[i, seg]
-                loss, grad = sge_loss(eps_net[j, i], schedule, targets[i], t, noised[j, i],
-                                      prev[j, i], g, mean[seg], config.lam)
+                loss, grad = sge_loss(u0[j, i], up[j, i], c0[j, i], cp[j, i], g, mean[seg],
+                                      config.lam)
                 updates[i, seg] += 1
                 adam_step(g, grad, m[i, seg], v[i, seg], int(updates[i, seg]), config.lr)
                 last_loss[i] = loss

@@ -252,10 +252,12 @@ def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
 def sweep(config: ExperimentConfig, param: str, values, out_dir) -> Path:
     """Run one experiment per parameter value, in order, each in its own
     subdirectory, and aggregate the per-run CSV rows. Every cell config is
-    validated before the first cell runs."""
+    validated, and no two may be equal or share a name, before any runs."""
     cells = [(val, config.with_value(param, val)) for val in values]
     if not cells:
         raise ConfigError(f"sweep over {param} needs at least one value")
+    if len(cells) > min(len({c.hash() for _, c in cells}), len({str(v) for v, _ in cells})):
+        raise ConfigError(f"sweep over {param} repeats a cell: {[v for v, _ in cells]}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -17,7 +17,7 @@ from crdi.numerics import Mlp, RngStream, gaussian, layer_views, mlp_backward, m
 from crdi.sampler import generate, reconstruct
 from crdi.schedules import (PerturbationSchedule, RigidityMap, gamma,
                             linear_schedule, make_plan)
-from crdi.sge import SgeFitConfig, SgeSet, fit_sge, sge_loss
+from crdi.sge import SgeFitConfig, SgeSet, fit_sge, residual_terms, sge_loss
 from crdi.workbench import ExperimentConfig
 from crdi.workbench.domains import flatten, synth_domain
 from crdi.workbench.experiment import run_experiment
@@ -88,13 +88,13 @@ def test_criterion_1_gradient_suite():
         lam = [0.0, 1.0, 10.0][probe % 3]
         x_t = noise_to(schedule, x0, t, eps)
         x_prev = noise_to(schedule, x0, t - 1, eps_prev)
-        eps_net = eps_theta(dnet, x_t, t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g, g_mean, lam)
+        terms = residual_terms(schedule, x0, t, x_t, x_prev, eps_theta(dnet, x_t, t))
+        _, grad = sge_loss(*terms, g, g_mean, lam)
         k = stream.randint(0, 2)
         e = np.zeros(3)
         e[k] = h
-        lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g + e, g_mean, lam)
-        lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g - e, g_mean, lam)
+        lp, _ = sge_loss(*terms, g + e, g_mean, lam)
+        lm, _ = sge_loss(*terms, g - e, g_mean, lam)
         assert rel_ok(grad[k], (lp - lm) / (2 * h))
 
     assert time.monotonic() - t0 < 30.0

@@ -14,7 +14,7 @@ from crdi.numerics import RngStream, adam_step, gaussian, mlp_forward
 from crdi.sampler import generate
 from crdi.schedules import (PerturbationSchedule, RigidityMap, linear_schedule,
                             make_plan, segment_for)
-from crdi.sge import SgeSet, guided_noise, sge_loss
+from crdi.sge import SgeSet, guided_noise, residual_terms
 from test_numerics import recomputing_backward
 
 
@@ -162,10 +162,11 @@ def _step_calls(sched):
     net = NoiseNet.init(2, sched.T, [8], RngStream(6, "init"))
     rmap = RigidityMap(eta=4, t_lo=10, t_hi=sched.T)
 
-    def loss_and_grad(t, x):
-        v = x.ravel()
-        loss, grad = sge_loss(v, sched, v, t, v, v, v, v, 1.0)
-        return np.append(grad, loss)
+    def residuals(t, x):
+        # one row per state row: u0, up, then the row's c0 and cp
+        u0, up, c0, cp = residual_terms(sched, x, t, x, x, x)
+        return np.concatenate([u0, up, np.broadcast_to(np.stack([c0, cp], axis=-1),
+                                                       (*x.shape[:-1], 2))], axis=-1)
 
     return {
         "noise_to": lambda t, x: noise_to(sched, x, t, x),
@@ -176,13 +177,17 @@ def _step_calls(sched):
         "noise_from_score": lambda t, x: noise_from_score(sched, x, t),
         "segment_for": lambda t, x: np.int64(segment_for(rmap, t)),
         "guided_noise": lambda t, x: guided_noise(net, sched, x, t, x),
-        "sge_loss": loss_and_grad,
+        "residual_terms": residuals,
     }
+
+
+# the functions that take one step per row of a 2-D state
+PER_ROW = ("noise_to", "eps_theta", "predict_x0", "residual_terms")
 
 
 @pytest.mark.parametrize("name", ["noise_to", "eps_theta", "predict_x0", "ddim_step",
                                   "score_from_noise", "noise_from_score", "segment_for",
-                                  "guided_noise", "sge_loss"])
+                                  "guided_noise", "residual_terms"])
 def test_every_timestep_argument_is_checked_alike(sched100, name):
     call = _step_calls(sched100)[name]
     x, xb = np.array([0.3, -0.2]), gaussian(RngStream(6, "xb"), (3, 2))
@@ -198,6 +203,12 @@ def test_every_timestep_argument_is_checked_alike(sched100, name):
         want = call(37, state).tobytes()
         assert call(np.array(37), state).tobytes() == want
         assert call(np.int64(37), state).tobytes() == want
+    if name in PER_ROW:
+        steps = np.array([1, 37, sched100.T])
+        rows = [call(int(t), xb)[i] for i, t in enumerate(steps)]
+        assert call(steps, xb).tobytes() == np.stack(rows).tobytes()
+        with pytest.raises(InvalidArgumentError):
+            call(np.array([-1 if name in ("noise_to", "eps_theta") else 0, 5, 6]), xb)
 
 
 # ---------------------------------------------------------------- invariants

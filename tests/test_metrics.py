@@ -90,13 +90,23 @@ def _sliding_window_ssim(a, b):
     return float(local.mean())
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (17, 23), (16, 17, 16)])
+@pytest.mark.parametrize("shape", [(16, 16), (17, 23), (16, 17, 16), (20, 20, 3)])
 def test_ssim_matches_sliding_window_view(shape):
     stream = RngStream(10, f"windows{shape}")
     for _ in range(20):
         a = stream.uniform(int(np.prod(shape))).reshape(shape)
         b = np.clip(a + 0.3 * gaussian(stream, shape), 0.0, 1.0)
         assert ssim(a, b) == _sliding_window_ssim(a, b)
+
+
+def test_ssim_path_follows_the_windowed_axes():
+    # the windows run over the first two axes: a 20 x 20 image with three
+    # channels is windowed, and scores the mean of its channels' SSIMs
+    stream = RngStream(11, "channels")
+    a = stream.uniform(20 * 20 * 3).reshape(20, 20, 3)
+    b = np.clip(a + 0.8 * gaussian(stream, a.shape), 0.0, 1.0)
+    per_channel = [ssim(a[..., c], b[..., c]) for c in range(3)]
+    assert ssim(a, b) == pytest.approx(np.mean(per_channel), rel=1e-12)
 
 
 def test_ssim_validation():

@@ -5,13 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, noise_to, \
+from crdi.diffusion import NoiseNet, eps_theta, noise_from_score, noise_to, predict_x0, \
     score_from_noise, time_features
 from crdi.errors import FormatError, InvalidArgumentError, ShapeError
 from crdi.numerics import Mlp, RngStream, adam_step, gaussian, mlp_forward
 from crdi.schedules import NoiseSchedule, RigidityMap, linear_schedule, segment_for
 from crdi.sge import (_FIT_BLOCK, SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge,
-                      save_sge, sge_loss)
+                      residual_terms, save_sge, sge_loss)
 
 
 def _zero_net(d: int, T: int) -> NoiseNet:
@@ -76,9 +76,9 @@ def test_loss_zero_for_perfect_guidance(sched):
     eps = gaussian(RngStream(2, "eps"), (2,))
     g = -eps / sched.sqrt_one_minus_ab(t)
     x_t = noise_to(sched, x0, t, eps)
-    eps_net = eps_theta(net, x_t, t)
-    loss, grad = sge_loss(eps_net, sched, x0, t, x_t, noise_to(sched, x0, t - 1, eps), g, g,
-                          lam=1.0)
+    terms = residual_terms(sched, x0, t, x_t, noise_to(sched, x0, t - 1, eps),
+                           eps_theta(net, x_t, t))
+    loss, grad = sge_loss(*terms, g, g, lam=1.0)
     assert loss == pytest.approx(0.0, abs=1e-18)
 
 
@@ -89,11 +89,10 @@ def test_penalty_vanishes_at_mean(sched, tiny_ring):
     g = np.array([0.3, -0.7])
     eps = gaussian(RngStream(3, "eps"), (2,))
     x_t = noise_to(schedule, x0, 12, eps)
-    eps_net = eps_theta(net, x_t, 12)
-    loss_eq, _ = sge_loss(eps_net, schedule, x0, 12, x_t,
-                          noise_to(schedule, x0, 12 - 1, eps), g, g, lam=100.0)
-    loss_zero, _ = sge_loss(eps_net, schedule, x0, 12, x_t,
-                            noise_to(schedule, x0, 12 - 1, eps), g, g, lam=0.0)
+    terms = residual_terms(schedule, x0, 12, x_t, noise_to(schedule, x0, 12 - 1, eps),
+                           eps_theta(net, x_t, 12))
+    loss_eq, _ = sge_loss(*terms, g, g, lam=100.0)
+    loss_zero, _ = sge_loss(*terms, g, g, lam=0.0)
     assert loss_eq == pytest.approx(loss_zero, rel=1e-12)
 
 
@@ -111,15 +110,65 @@ def test_loss_gradient_matches_finite_differences(tiny_ring):
         lam = [0.0, 1.0, 10.0][probe % 3]
         x_t = noise_to(schedule, x0, t, eps)
         x_prev = noise_to(schedule, x0, t - 1, eps_prev)
-        eps_net = eps_theta(net, x_t, t)
-        _, grad = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g, g_mean, lam)
+        terms = residual_terms(schedule, x0, t, x_t, x_prev, eps_theta(net, x_t, t))
+        _, grad = sge_loss(*terms, g, g_mean, lam)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            lp, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g + e, g_mean, lam)
-            lm, _ = sge_loss(eps_net, schedule, x0, t, x_t, x_prev, g - e, g_mean, lam)
+            lp, _ = sge_loss(*terms, g + e, g_mean, lam)
+            lm, _ = sge_loss(*terms, g - e, g_mean, lam)
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def _reconstruction_reference(schedule, x0, t, x_t, x_prev, eps_net, g, g_mean, lam):
+    """The loss and gradient as formed before residual_terms, kept test-side:
+    the guided noise, then predict_x0 and noise_to to t - 1 through it, and
+    the chain rule through those two linear maps."""
+    a_t = schedule.sqrt_one_minus_ab(t)
+    eps_hat = eps_net - a_t * g
+    x0_hat = predict_x0(schedule, x_t, t, eps_hat)
+    d0 = x0_hat - x0
+    dp = noise_to(schedule, x0_hat, t - 1, eps_hat) - x_prev
+    dg = g - g_mean
+    dx0_dg = a_t * a_t / schedule.sqrt_ab(t)
+    dxp_dg = schedule.sqrt_ab(t - 1) * dx0_dg - schedule.sqrt_one_minus_ab(t - 1) * a_t
+    return (d0 @ d0 + dp @ dp + lam * (dg @ dg),
+            2.0 * d0 * dx0_dg + 2.0 * dp * dxp_dg + 2.0 * lam * dg)
+
+
+@pytest.mark.parametrize("d", [3, 256])
+def test_loss_matches_reconstruction_reference(d):
+    # the residual form is the same loss and gradient as the chained one
+    schedule = linear_schedule(1000, 1e-4, 0.02)
+    net = NoiseNet.init(d, schedule.T, [16], RngStream(22, "net")).freeze()
+    stream = RngStream(22, f"probes{d}")
+    for probe in range(100):
+        x0, eps, eps_prev, g, g_mean = (gaussian(stream, (d,)) for _ in range(5))
+        t = 1 + probe * (schedule.T - 1) // 99
+        lam = [0.0, 1.0, 10.0][probe % 3]
+        x_t = noise_to(schedule, x0, t, eps)
+        x_prev = noise_to(schedule, x0, t - 1, eps_prev)
+        eps_net = eps_theta(net, x_t, t)
+        loss, grad = sge_loss(*residual_terms(schedule, x0, t, x_t, x_prev, eps_net),
+                              g, g_mean, lam)
+        ref_loss, ref_grad = _reconstruction_reference(schedule, x0, t, x_t, x_prev, eps_net,
+                                                       g, g_mean, lam)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_residual_terms_rows_match_one_row_calls(sched):
+    # per-row steps give each row's terms with the bits of a one-row call
+    stream = RngStream(23, "rows")
+    x0, x_t, x_prev, eps_net = (gaussian(stream, (5, 3)) for _ in range(4))
+    t = np.array([1, 2, 25, 49, 50])
+    rows = residual_terms(sched, x0, t, x_t, x_prev, eps_net)
+    for i in range(5):
+        one = residual_terms(sched, x0[i], int(t[i]), x_t[i], x_prev[i], eps_net[i])
+        assert [np.asarray(r[i]).tobytes() for r in rows] == [np.asarray(o).tobytes() for o in one]
+    with pytest.raises(InvalidArgumentError):
+        residual_terms(sched, x0, np.array([0, 2, 25, 49, 50]), x_t, x_prev, eps_net)
 
 
 # ---------------------------------------------------------------- SgeSet
@@ -274,9 +323,9 @@ def test_one_dimensional_brute_force_oracle():
         grad = np.zeros(1)
         for t, eps in draws:
             x_t = noise_to(sched1, x0, t, eps)
-            eps_net = eps_theta(net, x_t, t)
-            _, gi = sge_loss(eps_net, sched1, x0, t, x_t, noise_to(sched1, x0, t - 1, eps),
-                             g, g, lam=0.0)
+            terms = residual_terms(sched1, x0, t, x_t, noise_to(sched1, x0, t - 1, eps),
+                                   eps_theta(net, x_t, t))
+            _, gi = sge_loss(*terms, g, g, lam=0.0)
             grad += gi
         adam_step(g, grad, m, v, step + 1, lr=0.05)
     assert abs(g[0] - g_star) < 1e-3
@@ -314,8 +363,9 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
     from its own stream, one iteration at a time; one net evaluation per
     block of _FIT_BLOCK iterations over the block's noised states, the same
     rows per call as fit_sge (time features recomputed, not read from the
-    table); then, iteration by iteration, one loss and one Adam step per
-    sample on its active segment, with moments kept per (sample, segment)."""
+    table); then, iteration by iteration, one sample's residual terms from
+    its own row, one loss and one Adam step per sample on its active segment,
+    with moments kept per (sample, segment)."""
     n, d = targets.shape
     streams = [stream.child(f"sample{i}") for i in range(n)]
     sqrt_ab = np.sqrt(schedule.alpha_bar)
@@ -340,9 +390,10 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
         for j, (ts, x_t, eps_prev) in enumerate(block):
             for i, t in enumerate(ts.tolist()):
                 seg = segment_for(rmap, t)
-                losses[i], grad = sge_loss(eps_net[j * n + i], schedule, targets[i], t, x_t[i],
-                                           noise_to(schedule, targets[i], t - 1, eps_prev[i]),
-                                           segments[i, seg], mean[seg], config.lam)
+                terms = residual_terms(schedule, targets[i], t, x_t[i],
+                                       noise_to(schedule, targets[i], t - 1, eps_prev[i]),
+                                       eps_net[j * n + i])
+                losses[i], grad = sge_loss(*terms, segments[i, seg], mean[seg], config.lam)
                 m, v, t = states.get((i, seg), (np.zeros(d), np.zeros(d), 0))
                 adam_step(segments[i, seg], grad, m, v, t + 1, config.lr)
                 states[i, seg] = m, v, t + 1

@@ -1100,6 +1100,8 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("run.k", "2,0", "run.k must be >= 1"),
     ("run.count", "4,0", "run.count must be >= 2"),
     ("run.ablation", "none,bogus", "unknown ablation"),
+    ("sge.eta", "2,2", "sweep over sge.eta repeats a cell: [2, 2]"),
+    ("sge.lam", "1,1.0", "sweep over sge.lam repeats a cell: [1, 1.0]"),
 ])
 def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, message):
     _, cfg_path = _config_file(tmp_path)
@@ -1226,6 +1228,11 @@ def test_sweep_validates_every_cell_first(tmp_path):
     with pytest.raises(ConfigError, match="at least one value"):
         sweep(_fast_config(), "sge.eta", [], tmp_path / "sweep")
     assert not (tmp_path / "sweep" / "run.k=2").exists()
+    # two values that give one cell config, or one directory, are rejected
+    for param, values in (("sge.eta", [2, 2]), ("sge.lam", [1, 1.0]), ("sge.eta", [3, 2, 3])):
+        with pytest.raises(ConfigError, match=f"sweep over {param} repeats a cell"):
+            sweep(_fast_config(), param, values, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_sweep_string_values(tmp_path):
