@@ -9,8 +9,8 @@ import numpy as np
 
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
-from .numerics import (Mlp, RngStream, adam_step, box_muller, int_from_uniform,
-                       mlp_backward, mlp_forward)
+from .numerics import (Mlp, RngStream, adam_step, box_muller, box_muller_uniforms,
+                       int_from_uniform, mlp_backward, mlp_forward)
 from .schedules import NoiseSchedule, check_steps
 
 TIME_EMBED_DIM = 32
@@ -171,8 +171,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
     grad = np.empty_like(mlp.params)
     m, v = np.zeros_like(grad), np.zeros_like(grad)
     trace = np.zeros(config.steps)
-    per_noise = 2 * ((batch * net.d + 1) // 2)   # uniforms per Box-Muller noise draw
-    width = 2 * batch + per_noise                 # uniforms per step
+    width = 2 * batch + box_muller_uniforms(batch * net.d)   # uniforms per step
     block = min(_TRAIN_BLOCK, max(1, _TRAIN_BLOCK_UNIFORMS // width))
 
     for start in range(0, config.steps, block):
@@ -191,7 +190,7 @@ def train_source(net: NoiseNet, schedule: NoiseSchedule, dataset: np.ndarray,
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at step {start + j}")
             trace[start + j] = loss
-            mlp_backward(mlp, inp, 2.0 * resid / resid.size, tape, grad)
+            mlp_backward(mlp, 2.0 * resid / resid.size, tape, grad)
             adam_step(mlp.params, grad, m, v, start + j + 1, config.lr)
     net.freeze()
     return net, trace

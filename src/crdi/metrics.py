@@ -154,13 +154,14 @@ def frechet(features_a: np.ndarray, features_b: np.ndarray) -> float:
     return max(d, 0.0)
 
 
-def intra_diversity(generated, targets, extractor: FeatureExtractor,
-                    images: bool = False):
+def intra_diversity(generated, targets, extractor: FeatureExtractor):
     """Mean pairwise distance of unit-normalized features inside each
     target-assigned cluster, averaged over non-empty clusters.
 
-    Returns (value, degenerate) where degenerate flags the all-singleton
-    case (value 0).
+    A sample joins the target of highest SSIM when it is an image, that is
+    when ``generated`` has more than two axes, else the target nearest in
+    feature space. Returns (value, degenerate) where degenerate flags the
+    all-singleton case (value 0).
     """
     generated = np.asarray(generated, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -168,7 +169,7 @@ def intra_diversity(generated, targets, extractor: FeatureExtractor,
         raise InvalidArgumentError("need >= 1 target and >= 2 generated samples")
 
     feats = extractor(generated)
-    if images:
+    if generated.ndim > 2:
         assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
                            for g in generated])
     else:

@@ -59,10 +59,15 @@ def int_from_uniform(u, lo: int, hi: int):
     return lo + np.minimum((np.asarray(u) * (hi - lo + 1)).astype(np.int64), hi - lo)
 
 
+def box_muller_uniforms(n: int) -> int:
+    """The uniforms ``box_muller`` reads per row of n normals: n rounded up to even."""
+    return 2 * ((n + 1) // 2)
+
+
 def box_muller(u: np.ndarray, n: int) -> np.ndarray:
     """n standard normals per row from the last axis of u, which holds
-    2 * ((n + 1) // 2) uniforms: the radii come from the first half, the
-    angles from the second."""
+    ``box_muller_uniforms(n)`` uniforms: the radii come from the first half,
+    the angles from the second."""
     m = (n + 1) // 2
     # 1 - u keeps the argument of log strictly positive
     r = np.sqrt(-2.0 * np.log(1.0 - u[..., :m]))
@@ -78,7 +83,7 @@ def gaussian(stream: RngStream, shape) -> np.ndarray:
     if len(shape) == 0 or any(s < 1 for s in shape):
         raise InvalidArgumentError(f"invalid gaussian shape {shape}")
     n = int(np.prod(shape))
-    return box_muller(stream.uniform(2 * ((n + 1) // 2)), n).reshape(shape)
+    return box_muller(stream.uniform(box_muller_uniforms(n)), n).reshape(shape)
 
 
 # Below x = -709.78, exp(-x) overflows to inf, which gives silu and its
@@ -188,26 +193,25 @@ def mlp_forward(net: Mlp, x: np.ndarray, tape: list | None = None) -> np.ndarray
     return z
 
 
-def mlp_backward(net: Mlp, x: np.ndarray, upstream: np.ndarray, tape: list,
-                 out: np.ndarray) -> None:
+def mlp_backward(net: Mlp, upstream: np.ndarray, tape: list, out: np.ndarray) -> None:
     """Gradients of <upstream, output> w.r.t. the parameters, written into
     ``out``, a float64 vector shaped like ``net.params``: each dW and db
     into its view of ``out`` (``layer_views``). Batched inputs sum them
     over the batch.
 
     ``tape`` is the one filled by ``mlp_forward(net, x, tape)`` on the same
-    weights; SiLU's derivative comes from its 1 + exp(-z), not from a
-    second exp. No gradient w.r.t. the input is formed.
+    weights, x included; SiLU's derivative comes from its 1 + exp(-z), not
+    from a second exp. No gradient w.r.t. the input is formed.
     """
-    shape = np.shape(x)
     upstream = np.asarray(upstream, dtype=np.float64)
+    if len(tape) != len(net.weights):
+        raise ShapeError(f"tape of {len(tape)} layers does not match a "
+                         f"{len(net.weights)}-layer net")
+    shape = np.shape(tape[0][0])
     if shape[-1] != net.widths[0]:
         raise ShapeError(f"input width {shape[-1]} != {net.widths[0]}")
     if upstream.shape != shape[:-1] + (net.widths[-1],):
         raise ShapeError(f"upstream shape {upstream.shape} incompatible with output")
-    if len(tape) != len(net.weights) or np.shape(tape[0][0]) != shape:
-        raise ShapeError(f"tape of {len(tape)} layers does not match a "
-                         f"{len(net.weights)}-layer net on input {shape}")
     param_grads = layer_views(net.widths, out)
 
     delta = np.atleast_2d(upstream)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .diffusion import NoiseNet, ddim_step, noise_to
 from .errors import InvalidArgumentError, ShapeError, check_choice
-from .numerics import RngStream, box_muller
+from .numerics import RngStream, box_muller, box_muller_uniforms
 from .schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule,
                         RigidityMap, gamma, segment_for)
 from .sge import SgeSet, guided_noise
@@ -19,7 +19,7 @@ def _stream_normals(streams: list, d: int) -> np.ndarray:
     """(len(streams), d) standard normals, row j drawn from ``streams[j]``:
     row by row the bits of ``gaussian(streams[j], (d,))``, in one Box-Muller
     call over the stacked uniforms."""
-    return box_muller(np.stack([st.uniform(2 * ((d + 1) // 2)) for st in streams]), d)
+    return box_muller(np.stack([st.uniform(box_muller_uniforms(d)) for st in streams]), d)
 
 
 def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,

@@ -31,20 +31,20 @@ def check_steps(t, hi: int, x=None, lo: int = 0):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Discrete diffusion coefficients.
+    """Discrete diffusion coefficients, held as ``alpha_bar`` alone: DDIM
+    reads a schedule only through it.
 
     ``alpha_bar`` is indexed 0..T with alpha_bar[0] == 1 exactly, so
-    t = 0 is the clean-data endpoint.
+    t = 0 is the clean-data endpoint; T is its length less one.
     """
 
-    T: int
-    beta: np.ndarray        # beta[1..T] stored as length-T array
-    alpha: np.ndarray       # 1 - beta_t
-    alpha_bar: np.ndarray   # length T+1, cumulative products, alpha_bar[0] = 1
+    alpha_bar: np.ndarray
+    T: int = field(init=False)
     _sqrt_ab: np.ndarray = field(init=False, repr=False, compare=False)
     _sqrt_one_minus_ab: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "T", len(self.alpha_bar) - 1)
         # sqrt is correctly rounded, so a table entry equals the sqrt of one entry
         object.__setattr__(self, "_sqrt_ab", np.sqrt(self.alpha_bar))
         object.__setattr__(self, "_sqrt_one_minus_ab", np.sqrt(1.0 - self.alpha_bar))
@@ -70,14 +70,12 @@ def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule
     if not (0.0 < beta_start < beta_end < 1.0):
         raise InvalidArgumentError(
             f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
-    beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.concatenate([[1.0], np.cumprod(alpha)])
+    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - np.linspace(beta_start, beta_end, T))])
     if not alpha_bar[T] >= ALPHA_BAR_FLOOR:
         raise InvalidArgumentError(
             f"alpha_bar[T] = {alpha_bar[T]:.3g} is below {ALPHA_BAR_FLOOR:g}: betas "
             f"({beta_start}, {beta_end}) are too large for T = {T}")
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(alpha_bar)
 
 
 @dataclass(frozen=True)

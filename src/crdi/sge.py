@@ -19,8 +19,8 @@ import numpy as np
 from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
-from .numerics import RngStream, adam_step, box_muller, int_from_uniform
-from .schedules import NoiseSchedule, RigidityMap, segment_for
+from .numerics import RngStream, adam_step, box_muller, box_muller_uniforms, int_from_uniform
+from .schedules import NoiseSchedule, RigidityMap, check_steps, segment_for
 
 _SGE_MAGIC = b"CRDS"
 _SGE_VERSION = 1
@@ -83,7 +83,7 @@ class SgeSet:
 
 def guided_noise(net: NoiseNet, schedule: NoiseSchedule, x_t: np.ndarray,
                  t: int, g: np.ndarray) -> np.ndarray:
-    """eps_theta(x_t, t) - sqrt(1 - ab_t) * g.
+    """eps_theta(x_t, t) - sqrt(1 - ab_t) * g, at one step t as ddim_step takes.
 
     Adding g to the score is the same as subtracting sqrt(1-ab_t)*g from
     the predicted noise.
@@ -91,6 +91,7 @@ def guided_noise(net: NoiseNet, schedule: NoiseSchedule, x_t: np.ndarray,
     g = np.asarray(g, dtype=np.float64)
     if g.shape[-1] != net.d:
         raise ShapeError(f"guidance width {g.shape[-1]} != {net.d}")
+    t = check_steps(t, net.T)
     return eps_theta(net, x_t, t) - schedule.sqrt_one_minus_ab(t) * g
 
 
@@ -151,7 +152,7 @@ def _draw_block(streams, block: int, d: int, coupled: bool, t_lo: int, t_hi: int
     (block, N, d) noises eps and eps_prev. Sample i's stream gives, iteration
     after iteration, t, then eps, then eps_prev unless coupled, in one
     uniform call."""
-    per_noise = 2 * ((d + 1) // 2)                  # uniforms per Box-Muller noise vector
+    per_noise = box_muller_uniforms(d)
     width = 1 + per_noise * (1 if coupled else 2)   # uniforms per iteration
     u = np.stack([st.uniform(block * width).reshape(block, width) for st in streams], axis=1)
     eps = box_muller(u[..., 1:1 + per_noise], d)

@@ -13,22 +13,13 @@ import click
 
 from ..errors import ConfigError, CrdiError, NumericError
 from .config import ExperimentConfig, parse_param_value
-from .experiment import (evaluate_stage, fit_stage, generate_stage, prepare_source_model,
-                         reconstruct_stage, run_experiment, sweep)
+from .experiment import (drop_run_record, evaluate_stage, fit_stage, generate_stage,
+                         prepare_source_model, reconstruct_stage, run_experiment, sweep)
 
 
 def _load(config_path, seed):
     cfg = ExperimentConfig.from_file(config_path)
     return cfg if seed is None else cfg.with_value("run.seed", seed)
-
-
-def _drop_run_record(out: Path, config_path: Path):
-    """Remove the failed marker, manifest.json and config.toml that a report
-    run left in ``out``: once a staged command rewrites an artifact they no
-    longer describe the directory. A file given as --config stays."""
-    for stale in ("failed", "manifest.json", "config.toml"):
-        if (out / stale).resolve() != config_path.resolve():
-            (out / stale).unlink(missing_ok=True)
 
 
 def common_options(f, staged=False):
@@ -45,7 +36,7 @@ def common_options(f, staged=False):
         try:
             cfg = _load(config_path, seed)
             if staged:
-                _drop_run_record(out_dir, Path(config_path))
+                drop_run_record(out_dir, keep=config_path)
             return f(cfg, out_dir, **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)

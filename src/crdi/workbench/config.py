@@ -230,7 +230,7 @@ class ExperimentConfig:
         _built("sge.window_lo_frac", fit_window, rmap, schedule)
         # generate starts at run.start; evaluate reconstructs image targets
         # from the noised start and scores them by mc_ssim
-        is_images = tgt.kind == "sprite-images"
+        is_images = len(sample_shape(tgt)) == 2
         for start in [v["run"]["start"]] + ["noised"] * is_images:
             _built(f"run.start = {start!r}", start_step, plan, rmap, start, perturb.alpha_t)
         if is_images:

@@ -140,10 +140,9 @@ def generate_stage(config: ExperimentConfig, out_dir: Path) -> np.ndarray:
                        plan=config.plan(), stream=RngStream(run["seed"], "generate"),
                        count=run["count"], guidance=run["guidance"], start=run["start"])
     write_tensor(out_dir / "samples.crdt", samples)
-    tgt_spec = config.domain_spec("target")
-    if tgt_spec.kind == "sprite-images":
-        write_grid(out_dir / "samples.pgm",
-                   samples[:16].reshape(-1, *sample_shape(tgt_spec)), columns=4)
+    shape = sample_shape(config.domain_spec("target"))
+    if len(shape) == 2:
+        write_grid(out_dir / "samples.pgm", samples[:16].reshape(-1, *shape), columns=4)
     return samples
 
 
@@ -180,16 +179,23 @@ def reconstruct_stage(config: ExperimentConfig, out_dir, sample_id: int) -> Path
     return path
 
 
+def drop_run_record(out_dir, keep=None):
+    """Unlink an earlier run's record from out_dir, which a rewritten artifact
+    outdates: ``failed``, manifest.json and config.toml, unless it is ``keep``."""
+    for stale in ("failed", "manifest.json", "config.toml"):
+        path = Path(out_dir) / stale
+        if keep is None or path.resolve() != Path(keep).resolve():
+            path.unlink(missing_ok=True)
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     """Full pipeline for one configuration: the four stages in order, each
     reading only the files the stages before it wrote to out_dir. Writes a
     ``failed`` marker naming the stage that raised, or manifest.json once all
-    four succeed; an earlier run's marker and manifest go first. Returns the
-    manifest."""
+    four succeed; an earlier run's record goes first. Returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in ("failed", "manifest.json"):
-        (out_dir / stale).unlink(missing_ok=True)
+    drop_run_record(out_dir)
     timestamps = {"started": time.time(), "stage_s": {}}
     stage = "setup"
     try:
@@ -217,7 +223,7 @@ def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
              samples: np.ndarray) -> MetricsReport:
     """Metric battery for one generated set."""
     tgt_spec = config.domain_spec("target")
-    is_images = tgt_spec.kind == "sprite-images"
+    is_images = len(sample_shape(tgt_spec)) == 2
     eval_targets = flatten(synth_domain(tgt_spec, config["run"]["eval_count"],
                                         RngStream(config["run"]["seed"], "eval-targets")))
     extractor = config.feature_extractor()
@@ -234,7 +240,7 @@ def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
                      direction=config["metrics"]["direction"])
 
     fd = frechet(extractor(samples), extractor(eval_targets))
-    div, degenerate = intra_diversity(gen, tgt, extractor, images=is_images)
+    div, degenerate = intra_diversity(gen, tgt, extractor)
     return MetricsReport(
         ssim_per_pair=[float(v) for v in ssim_pairs],
         mc_ssim=mc, frechet=fd, intra_diversity=div,

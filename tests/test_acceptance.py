@@ -53,7 +53,7 @@ def test_criterion_1_gradient_suite():
         up = gaussian(stream, (3,))
         tape = []
         mlp_forward(net, x, tape=tape)
-        mlp_backward(net, x, up, tape, out)
+        mlp_backward(net, up, tape, out)
         # one row: the input gradient delta0 W0^T is W0 db0
         input_grad = net.weights[0] @ grads[1]
         layer = stream.randint(0, 2)

@@ -118,7 +118,7 @@ def test_ddim_equal_coefficients_fixed_point():
     sched = linear_schedule(10, 1e-3, 0.1)
     ab = sched.alpha_bar.copy()
     ab[5] = ab[6]
-    frozen = sched.__class__(T=10, beta=sched.beta, alpha=sched.alpha, alpha_bar=ab)
+    frozen = sched.__class__(ab)
     x_t = np.array([0.3, -0.8])
     eps = np.array([0.1, 0.2])
     np.testing.assert_allclose(ddim_step(frozen, x_t, 6, 5, eps), x_t, atol=1e-12)
@@ -142,7 +142,7 @@ def test_score_closed_form():
     sched = linear_schedule(10, 1e-3, 0.1)
     ab = sched.alpha_bar.copy()
     ab[3] = 0.75
-    s = sched.__class__(T=10, beta=sched.beta, alpha=sched.alpha, alpha_bar=ab)
+    s = sched.__class__(ab)
     score = score_from_noise(s, np.array([1.0]), 3)
     assert score[0] == pytest.approx(-2.0, abs=1e-12)
     np.testing.assert_array_equal(score_from_noise(s, np.zeros(3), 3), np.zeros(3))
@@ -209,6 +209,9 @@ def test_every_timestep_argument_is_checked_alike(sched100, name):
         assert call(steps, xb).tobytes() == np.stack(rows).tobytes()
         with pytest.raises(InvalidArgumentError):
             call(np.array([-1 if name in ("noise_to", "eps_theta") else 0, 5, 6]), xb)
+    else:
+        with pytest.raises(ShapeError):
+            call(np.array([1, 37, sched100.T]), xb)   # valid steps, one per row
 
 
 # ---------------------------------------------------------------- invariants
@@ -396,16 +399,17 @@ def test_train_source_matches_two_pass_reference(hidden):
         assert p.tobytes() == q.tobytes()
 
 
-def _ancestral_chain(net, schedule, stream):
-    """Stochastic DDPM sampler kept test-side only: x_{t-1} =
-    (x_t - beta_t/sqrt(1-ab_t) eps_hat)/sqrt(alpha_t) + sigma_t z."""
+def _ancestral_chain(net, schedule, beta, stream):
+    """Stochastic DDPM sampler kept test-side only, over the betas the
+    schedule was built from: x_{t-1} =
+    (x_t - beta_t/sqrt(1-ab_t) eps_hat)/sqrt(1 - beta_t) + sigma_t z."""
     x = gaussian(stream, (net.d,))
     for t in range(schedule.T, 0, -1):
         eps_hat = eps_theta(net, x, t)
-        coef = schedule.beta[t - 1] / schedule.sqrt_one_minus_ab(t)
-        x = (x - coef * eps_hat) / np.sqrt(schedule.alpha[t - 1])
+        coef = beta[t - 1] / schedule.sqrt_one_minus_ab(t)
+        x = (x - coef * eps_hat) / np.sqrt(1.0 - beta[t - 1])
         if t > 1:
-            var = schedule.beta[t - 1] * \
+            var = beta[t - 1] * \
                 (1 - schedule.alpha_bar[t - 1]) / (1 - schedule.alpha_bar[t])
             x = x + np.sqrt(var) * gaussian(stream, (net.d,))
     return x
@@ -423,7 +427,9 @@ def test_trained_model_moments(tiny_ring):
         guidance="mean", start="prior",
         perturb=PerturbationSchedule(alpha_t=schedule.T, beta_t=1, s=0.0),
         plan=plan, count=64, stream=stream.child("ddim"))
-    anc = np.array([_ancestral_chain(net, schedule, stream.child(f"anc{i}"))
+    beta = np.linspace(1e-4, 0.02, schedule.T)   # tiny_ring's linear_schedule(50, 1e-4, 0.02)
+    assert schedule.alpha_bar.tobytes() == np.cumprod(np.r_[1.0, 1.0 - beta]).tobytes()
+    anc = np.array([_ancestral_chain(net, schedule, beta, stream.child(f"anc{i}"))
                     for i in range(64)])
     ref_var = dataset.var(axis=0)
     for samples in (ddim_samples, anc):

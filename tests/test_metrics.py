@@ -256,8 +256,7 @@ def test_diversity_image_assignment_uses_ssim():
     base = _random_images("div", 2)
     gen = np.stack([base[0], base[0] + 0.01, base[1], base[1] - 0.01])
     targets = np.stack(base)
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"),
-                                      images=True)
+    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"))
     assert not degenerate and val > 0.0
 
 
@@ -307,7 +306,7 @@ def _diversity_cases():
 def test_diversity_bit_equal_to_broadcast_formula(case):
     gen, targets, images = _diversity_cases()[case]
     ident = FeatureExtractor("identity")
-    value, degenerate = intra_diversity(gen, targets, ident, images=images)
+    value, degenerate = intra_diversity(gen, targets, ident)
     ref_value, ref_degenerate = _broadcast_diversity(gen, targets, ident, images=images)
     assert (value.hex(), degenerate) == (ref_value.hex(), ref_degenerate)
     assert degenerate == (case == "singletons")

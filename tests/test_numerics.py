@@ -212,7 +212,7 @@ def _tape_backward(net, x, up, tape=None):
         tape = []
         mlp_forward(net, x, tape=tape)
     out = np.full(net.params.size, np.nan)
-    assert mlp_backward(net, x, up, tape, out) is None
+    assert mlp_backward(net, up, tape, out) is None
     return layer_views(net.widths, out)
 
 
@@ -331,11 +331,15 @@ def test_backward_rejects_mismatched_tape():
     mlp_forward(net, x, tape=tape)
     out = np.empty_like(net.params)
     with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, x, np.ones(2), tape[:1], out)
+        mlp_backward(net, np.ones(2), tape[:1], out)
     with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, x, np.ones(2), tape + tape[:1], out)
-    with pytest.raises(ShapeError, match="tape"):
-        mlp_backward(net, np.ones((4, 3)), np.ones((4, 2)), tape, out)
+        mlp_backward(net, np.ones(2), tape + tape[:1], out)
+    with pytest.raises(ShapeError, match="upstream"):
+        mlp_backward(net, np.ones((4, 2)), tape, out)   # four rows on a one-row tape
+    other = []
+    mlp_forward(Mlp.init([4, 5, 2], RngStream(10, "other")), np.ones(4), tape=other)
+    with pytest.raises(ShapeError, match="input width 4"):
+        mlp_backward(net, np.ones(2), other, out)       # a tape from a net of input width 4
 
 
 def test_backward_out_holds_the_gradients():
@@ -348,14 +352,14 @@ def test_backward_out_holds_the_gradients():
     tape = []
     mlp_forward(net, xb, tape=tape)
     out = np.full(flat.size, np.nan)
-    mlp_backward(net, xb, ub, tape, out)
+    mlp_backward(net, ub, tape, out)
     ref = recomputing_backward(net, xb, ub)
     for g, r in zip(layer_views(net.widths, out), ref, strict=True):
         assert g.base is out and g.tobytes() == r.tobytes()
     assert out.tobytes() == np.concatenate([r.ravel() for r in ref]).tobytes()
     for size in (flat.size - 1, flat.size + 1):
         with pytest.raises(ShapeError, match="flat parameters"):
-            mlp_backward(net, xb, ub, tape, np.zeros(size))
+            mlp_backward(net, ub, tape, np.zeros(size))
 
 
 def test_backward_shape_errors():
@@ -363,9 +367,7 @@ def test_backward_shape_errors():
     tape, out = [], np.empty_like(net.params)
     mlp_forward(net, np.zeros(3), tape=tape)
     with pytest.raises(ShapeError):
-        mlp_backward(net, np.zeros(4), np.zeros(2), tape, out)
-    with pytest.raises(ShapeError):
-        mlp_backward(net, np.zeros(3), np.zeros(3), tape, out)
+        mlp_backward(net, np.zeros(3), tape, out)
 
 
 # ---------------------------------------------------------------- Adam

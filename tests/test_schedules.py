@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdi.errors import InvalidArgumentError
-from crdi.schedules import (ALPHA_BAR_FLOOR, InferencePlan, PerturbationSchedule,
-                            RigidityMap, gamma, linear_schedule, make_plan, segment_for)
+from crdi.schedules import (ALPHA_BAR_FLOOR, InferencePlan, NoiseSchedule,
+                            PerturbationSchedule, RigidityMap, gamma, linear_schedule,
+                            make_plan, segment_for)
 
 
 # ---------------------------------------------------------------- schedule
@@ -30,7 +31,16 @@ def test_alpha_bar_zero_is_one_exactly():
 def test_alpha_bar_strictly_decreasing():
     sched = linear_schedule(200, 1e-4, 0.02)
     assert np.all(np.diff(sched.alpha_bar) < 0)
-    assert np.all(np.diff(sched.beta) > 0)
+    # the betas it was built from, recovered from consecutive alpha_bar
+    beta = 1.0 - sched.alpha_bar[1:] / sched.alpha_bar[:-1]
+    assert np.all(np.diff(beta) > 0)
+    np.testing.assert_allclose(beta, np.linspace(1e-4, 0.02, 200), rtol=1e-10)
+
+
+def test_schedule_T_is_alpha_bar_length_less_one():
+    ab = linear_schedule(30, 1e-3, 0.05).alpha_bar
+    for n in (3, 31):
+        assert NoiseSchedule(ab[:n]).T == n - 1
 
 
 def test_variance_preserving_split():

@@ -51,7 +51,7 @@ def test_guided_noise_closed_form_offset():
     base = linear_schedule(10, 1e-3, 0.1)
     ab = base.alpha_bar.copy()
     ab[4] = 0.36
-    sched = NoiseSchedule(T=10, beta=base.beta, alpha=base.alpha, alpha_bar=ab)
+    sched = NoiseSchedule(ab)
     net = _zero_net(2, 10)
     x_t = np.array([0.2, -0.4])
     g = np.array([1.0, 0.0])

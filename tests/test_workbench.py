@@ -1,4 +1,5 @@
 """Workbench: domains, config parsing, file formats, orchestration, CLI."""
+import ast
 import json
 import os
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crdi
 from crdi.errors import ConfigError, FormatError, InvalidArgumentError
 from crdi.workbench.config import ExperimentConfig, parse_config_text
 from crdi.workbench.domains import (DomainSpec, flatten, sample_shape,
@@ -106,6 +108,17 @@ def test_flatten_and_shapes():
     assert sample_shape(DomainSpec.make("ring-of-gaussians")) == (2,)
     imgs = synth_domain(spec, 3)
     assert flatten(imgs).shape == (3, 256)
+
+
+def test_only_domains_names_the_image_kind():
+    # the rest of src/ tells an image by its sample shape's rank
+    root = Path(crdi.__file__).parent
+    found = [f"{path.relative_to(root.parent).as_posix()}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "sprite-images" in node.value]
+    assert found and all(f.startswith("crdi/workbench/domains.py:") for f in found), found
 
 
 # ---------------------------------------------------------------- config

@@ -7,7 +7,7 @@ Exports ``src/`` of the parent revision with ``git archive`` into a temporary
 directory, then runs a fixed set of pipeline configs with the parent's
 ``src/`` and with the working tree's, each under the default BLAS threads and
 under ``OPENBLAS_NUM_THREADS=1``: four child processes, one after another.
-The set is five ``run_experiment`` configs and one ``sge.eta`` sweep:
+The set is six ``run_experiment`` configs and one ``sge.eta`` sweep:
 
 - ``crit9``: the acceptance battery's criterion-9 config;
 - ``ring``: the pinned ring config (T=400, 2500 train steps, hidden 96,96);
@@ -16,6 +16,10 @@ The set is five ``run_experiment`` configs and one ``sge.eta`` sweep:
 - ``ring-no-perturbation``: ``ring`` with ``run.ablation = "no-perturbation"``;
 - ``sprite``: 300 train steps of a 128-wide sprite net, then a fit with
   ``sge.coupling = "independent"``;
+- ``sprite-per-generated``: ``sprite`` with ``metrics.direction =
+  "per-generated"``, ``metrics.feature = "random-projection"`` and
+  ``sge.window_lo_frac = 0.2``, so that sampling looks up segments below the
+  guidance window (80, 320);
 - ``sweep``: ``sge.eta`` over 1, 8 and 25 on a 400-step ring config.
 
 Every file a run writes is compared by its SHA-256 digest, except
@@ -70,6 +74,8 @@ RUNS = {
     "ring-mean-prior": dict(RING, run__guidance="mean", run__start="prior"),
     "ring-no-perturbation": dict(RING, run__ablation="no-perturbation"),
     "sprite": SPRITE,
+    "sprite-per-generated": dict(SPRITE, metrics__direction="per-generated",
+                                 metrics__feature="random-projection", sge__window_lo_frac=0.2),
 }
 SWEEP = ("sweep", dict(RING, train__steps=400, sge__iterations=300), "sge.eta", [1, 8, 25])
 
