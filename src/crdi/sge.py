@@ -211,7 +211,9 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
                 last_loss[i] = loss
             mean = segments.mean(axis=0)
 
-    meta = [{"final_loss": loss, "iterations": config.iterations} for loss in last_loss]
+    # a fit that took no draw has no loss to record
+    meta = [{"final_loss": loss, "iterations": config.iterations} if config.iterations
+            else {"iterations": 0} for loss in last_loss]
     return SgeSet(segments, rmap, meta, targets.copy())
 
 

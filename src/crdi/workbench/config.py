@@ -1,4 +1,4 @@
-"""Experiment configuration: flat TOML-style tables with strict keys."""
+"""Experiment configuration: TOML tables of scalar keys, read strictly."""
 from __future__ import annotations
 
 import hashlib
@@ -54,76 +54,45 @@ _CHOICES = {
 }
 
 
-def _parse_value(raw: str, path: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {path}")
-
-
-def _strip_comment(line: str) -> str:
-    """The line up to its first '#' outside a double-quoted string."""
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse flat [section] / key = value text, applying schema defaults.
+    """Parse TOML text of [section] tables, applying schema defaults.
 
     Unknown sections or keys are errors; types must match the defaults.
     """
+    # imported here and in parse_param_value: a config built from a dict never
+    # reads TOML, and the import holds 0.2 MB for the life of the process
+    import tomllib
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+    return _schema_values(doc)
+
+
+def _schema_values(given: dict) -> dict:
+    """Schema defaults overridden by given's section -> key -> value, each type-checked."""
     values = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
-    section = None
-    seen = set()   # sections, and (section, key) pairs, given so far
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = _strip_comment(line).strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown section [{section}] at line {lineno}")
-            if section in seen:
-                raise ConfigError(f"repeated section [{section}] at line {lineno}")
-            seen.add(section)
-            continue
-        if "=" not in line or section is None:
-            raise ConfigError(f"malformed line {lineno}: {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {section}.{key} at line {lineno}")
-        if (section, key) in seen:
-            raise ConfigError(f"repeated key {section}.{key} at line {lineno}")
-        seen.add((section, key))
-        val = _parse_value(raw, f"{section}.{key}")
-        values[section][key] = _typed(section, key, val, f" at line {lineno}")
+    for section, keys in given.items():
+        if not isinstance(keys, dict):
+            raise ConfigError(f"malformed config: {section} must be a [section] table")
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, val in keys.items():
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
+            values[section][key] = _typed(section, key, val)
     return values
 
 
-def _typed(section: str, key: str, val, where: str = ""):
+def _typed(section: str, key: str, val):
     """val checked against the schema default's type; ints promote to float,
     and a float must be finite."""
     try:
         val = typed_like(_SCHEMA[section][key], val)
     except TypeError:
-        raise ConfigError(f"type mismatch for {section}.{key}{where}") from None
+        raise ConfigError(f"type mismatch for {section}.{key}") from None
     if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{section}.{key} must be finite, got {val}{where}")
+        raise ConfigError(f"{section}.{key} must be finite, got {val}")
     return val
 
 
@@ -136,11 +105,16 @@ def _schema_key(param: str):
 
 
 def parse_param_value(param: str, raw: str):
-    """A command-line value read by its key's schema type; strings stay as given."""
+    """A command-line value: a TOML value, or the text as given for a string key."""
     section, key = _schema_key(param)
     if isinstance(_SCHEMA[section][key], str):
         return raw.strip()
-    return _parse_value(raw, param)
+    import tomllib
+    try:
+        (val,) = tomllib.loads(f"value = {raw}").values()
+    except ValueError:   # not a TOML value, or text that adds more keys
+        raise ConfigError(f"cannot parse value {raw.strip()!r} for key {param}") from None
+    return val
 
 
 @dataclass
@@ -155,21 +129,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
         """Schema defaults overridden by values, each type-checked, then validated."""
-        full = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
-        for section, keys in values.items():
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown section [{section}]")
-            for key, val in keys.items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key {section}.{key}")
-                full[section][key] = _typed(section, key, val)
-        cfg = cls(full)
+        cfg = cls(_schema_values(values))
         cfg.validate()
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(parse_config_text(Path(path).read_text()))
+        return cls.from_dict(parse_config_text(Path(path).read_text(encoding="utf-8")))
 
     @classmethod
     def defaults(cls, **overrides) -> "ExperimentConfig":
@@ -209,7 +175,7 @@ class ExperimentConfig:
             if v[section][key] not in allowed:
                 raise ConfigError(f"unknown {key} {v[section][key]!r} for {param}; "
                                   f"expected one of {', '.join(allowed)}")
-        src, tgt = self.domain_spec("source"), self.domain_spec("target")
+        src, tgt = (_built(side, self.domain_spec, side) for side in ("source", "target"))
         if (src.kind, src.params) == (tgt.kind, tgt.params):
             raise ConfigError("source and target domains must differ")
         if sample_shape(src) != sample_shape(tgt):
@@ -297,8 +263,9 @@ class ExperimentConfig:
             for key, val in keys.items():
                 if isinstance(val, bool):
                     lines.append(f"{key} = {'true' if val else 'false'}")
-                elif isinstance(val, str):
-                    lines.append(f'{key} = "{val}"')
+                elif isinstance(val, str):   # a JSON string is a TOML basic string but for DEL
+                    lines.append(f"{key} = {json.dumps(val, ensure_ascii=False)}"
+                                 .replace("\x7f", "\\u007f"))
                 else:
                     lines.append(f"{key} = {val}")
             lines.append("")

@@ -32,6 +32,9 @@ class DomainSpec:
                 params[key] = typed_like(defaults[key], val)
             except TypeError as exc:
                 raise InvalidArgumentError(f"{kind} parameter {key} {exc}") from None
+            if key in _COUNTS and params[key] < 1:
+                raise InvalidArgumentError(f"{kind} parameter {key} must be >= 1, "
+                                           f"got {params[key]}")
         return cls(kind=kind, params=tuple(sorted({**defaults, **params}.items())), seed=seed)
 
 
@@ -88,6 +91,7 @@ KINDS = {
     "sprite-images": (_sprites, {"size": 16, "bar": False, "bar_row": 11,
                                  "bar_intensity": 0.9}),
 }
+_COUNTS = ("components", "size")   # parameters that count modes or pixels: at least 1
 
 
 def synth_domain(spec: DomainSpec, count: int, stream: RngStream | None = None) -> np.ndarray:

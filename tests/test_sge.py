@@ -257,6 +257,8 @@ def test_zero_iterations_keeps_initialization(sched):
                   SgeFitConfig(iterations=0), RngStream(9, "fit"))
     for segments in out.segments:
         np.testing.assert_array_equal(segments, np.zeros((3, 2)))
+    # no draw was taken, so there is no loss to record
+    assert out.meta == [{"iterations": 0}] * 2
 
 
 def test_fit_config_rejects_unknown_coupling():

@@ -145,17 +145,43 @@ def test_parse_rejects_unknown_keys():
         parse_config_text("[schedule]\nTT = 5\n")
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config_text("[nope]\nx = 1\n")
-    with pytest.raises(ConfigError, match="malformed"):
-        parse_config_text("T = 5\n")
+    for text in ("T = 5\n", "run = 5\n"):
+        with pytest.raises(ConfigError, match="malformed config"):
+            parse_config_text(text)
 
 
+# tomllib names the line and column of a repeated key or section, not the key
 @pytest.mark.parametrize("text,message", [
-    ("[run]\nk = 3\nk = 4\n", "repeated key run.k at line 3"),
-    ("[run]\nk = 3\n[sge]\neta = 2\n[run]\nk = 5\n", r"repeated section \[run\] at line 5"),
+    ("[run]\nk = 3\nk = 4\n", r"malformed config: .*\bline 3\b"),
+    ("[run]\nk = 3\n[sge]\neta = 2\n[run]\nk = 5\n", r"malformed config: .*\bline 5\b"),
 ], ids=["key", "section"])
 def test_parse_rejects_repeated_keys_and_sections(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
+
+
+def test_parse_reads_any_toml_form_of_a_table():
+    values = parse_config_text("run = {k = 3}\n[source]\nkind = 'two-moons'\n")
+    assert values["run"]["k"] == 3
+    assert values["source"]["kind"] == "two-moons"
+
+
+# TOML 1.0 has no float without a leading digit and no integer with a leading zero
+@pytest.mark.parametrize("line,bad", [("lr = 0.05", "lr = .5"), ("k = 3", "k = 01")],
+                         ids=["float-leading-dot", "int-leading-zero"])
+def test_parse_rejects_invalid_toml(tmp_path, line, bad):
+    _, cfg_path = _config_file(tmp_path)   # sge.lr = 0.05 and run.k = 3
+    text = cfg_path.read_text()
+    assert text.count(f"\n{line}\n") == 1
+    text = text.replace(f"\n{line}\n", f"\n{bad}\n")
+    with pytest.raises(ConfigError, match="malformed config: .*line"):
+        parse_config_text(text)
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert "malformed config" in res.output and "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_parse_type_checks():
@@ -198,11 +224,15 @@ def test_config_fraction_validation():
     (dict(perturb__s=float("inf")), "perturb.s must be finite, got inf"),
     (dict(run__seed=2**63), r"run.seed must be in \[0, 9223372036854775807\]"),
     (dict(run__seed=-1), r"run.seed must be in \[0, "),
+    (dict(source__components=0), "source: ring-of-gaussians parameter components must be >= 1"),
+    (dict(target__components=-3), "target: ring-of-gaussians parameter components must be >= 1"),
+    (dict(source__kind="sprite-images", target__kind="sprite-images", source__size=0,
+          target__size=0), "source: sprite-images parameter size must be >= 1, got 0"),
 ], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
         "hidden-abc", "hidden-semicolon", "hidden-zero", "hidden-empty-item",
         "hidden-blank-items", "hidden-trailing-comma", "window-order", "sge-lr",
         "train-lr", "sge-iterations", "sge-lam", "lam-nan", "s-inf", "seed-high",
-        "seed-negative"])
+        "seed-negative", "components-zero", "components-negative", "size-zero"])
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
@@ -310,6 +340,8 @@ def test_from_dict_rejects_unknown_sections_and_keys():
         ExperimentConfig.from_dict({"run": {"bogus": 1}})
     with pytest.raises(ConfigError, match="unknown section"):
         ExperimentConfig.from_dict({"nope": {}})
+    with pytest.raises(ConfigError, match="malformed config"):
+        ExperimentConfig.from_dict({"run": 5})
 
 
 def test_from_dict_fills_schema_defaults():
@@ -354,15 +386,18 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_round_trip_path_with_hash_sign(tmp_path):
-    ckpt = tmp_path / "run#1" / "model.crdn"
-    ckpt.parent.mkdir()
-    ckpt.write_bytes(b"")
-    cfg = ExperimentConfig.defaults(train__checkpoint=str(ckpt))
-    path = tmp_path / "config.toml"
-    cfg.write(path)
-    loaded = ExperimentConfig.from_file(path)
-    assert loaded["train"]["checkpoint"] == str(ckpt)
-    assert loaded.values == cfg.values
+    # the second name holds '"' then '#', a backslash, a tab and DEL, which a
+    # TOML string escapes, and a letter outside ASCII, which it holds as UTF-8
+    for name in ("run#1", 'q"x#1\\b\tc\x7fdé'):
+        ckpt = tmp_path / name / "model.crdn"
+        ckpt.parent.mkdir()
+        ckpt.write_bytes(b"")
+        cfg = ExperimentConfig.defaults(train__checkpoint=str(ckpt))
+        path = tmp_path / "config.toml"
+        cfg.write(path)
+        loaded = ExperimentConfig.from_file(path)
+        assert loaded["train"]["checkpoint"] == str(ckpt)
+        assert loaded.values == cfg.values
 
 
 def test_parse_strips_comments_outside_quotes_only():
@@ -1109,6 +1144,7 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("sge.bogus", "1,4", "unknown config key 'sge.bogus'"),
     ("sge.eta", "1,2.5", "type mismatch"),
     ("sge.eta", "1,many", "cannot parse"),
+    ("sge.lr", "0.05,.5", "cannot parse"),
     ("target.bar", "true,1", "type mismatch"),
     ("run.k", "2,0", "run.k must be >= 1"),
     ("run.count", "4,0", "run.count must be >= 2"),
@@ -1148,10 +1184,12 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     (dict(), "sge.lr", "0.05,-0.5", "sge: learning rate lr must be > 0"),
     (dict(), "sge.lam", "1.0,nan", "sge.lam must be finite"),
     (dict(), "run.seed", "0,9223372036854775808", "run.seed must be in"),
+    (dict(), "source.components", "8,0",
+     "source: ring-of-gaussians parameter components must be >= 1"),
 ], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
         "prior-start-above-window", "window-above-T", "mc-ssim-n-above-count",
         "mc-ssim-n-above-k", "feature-dim-zero", "sample-shape-mismatch", "window-order",
-        "sge-lr", "lam-nan", "seed-high"])
+        "sge-lr", "lam-nan", "seed-high", "components-zero"])
 def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
                                                          message):
     _, cfg_path = _config_file(tmp_path, **base)

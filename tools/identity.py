@@ -25,6 +25,9 @@ The set is six ``run_experiment`` configs and one ``sge.eta`` sweep:
 Every file a run writes is compared by its SHA-256 digest, except
 ``manifest.json``, whose stage times differ from run to run: this covers
 every artifact of each manifest's ``sha256`` map and also ``sweep.csv``.
+Each child process also reads every run's ``config.toml`` back with its own
+tree's ``ExperimentConfig.from_file`` and fails unless it hashes to the
+config that ran, so both trees' config readers are checked.
 The script prints one table row per tree pair (parent against working tree,
 same threads) and per thread pair (default against one thread, same tree),
 and exits 1 when a tree pair differs in a file that no ``--expect`` pattern
@@ -80,17 +83,24 @@ RUNS = {
 SWEEP = ("sweep", dict(RING, train__steps=400, sge__iterations=300), "sge.eta", [1, 8, 25])
 
 THREADS = {"default": None, "1-thread": "1"}
-STRIPPED_ENV = ("CRDI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+STRIPPED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_all(out: Path):
-    """Child mode: run every config with the crdi found on sys.path."""
+    """Child mode: run every config with the crdi found on sys.path, then exit
+    1 unless each run's config.toml reads back as the config that ran."""
     from crdi.workbench import ExperimentConfig
     from crdi.workbench.experiment import run_experiment, sweep
-    for name, kwargs in RUNS.items():
-        run_experiment(ExperimentConfig.defaults(**kwargs), out / name)
+    ran = {name: ExperimentConfig.defaults(**kwargs) for name, kwargs in RUNS.items()}
+    for name, cfg in ran.items():
+        run_experiment(cfg, out / name)
     name, kwargs, param, values = SWEEP
-    sweep(ExperimentConfig.defaults(**kwargs), param, values, out / name)
+    base = ExperimentConfig.defaults(**kwargs)
+    sweep(base, param, values, out / name)
+    ran.update({f"{name}/{param}={val}": base.with_value(param, val) for val in values})
+    for name, cfg in ran.items():
+        if ExperimentConfig.from_file(out / name / "config.toml").hash() != cfg.hash():
+            sys.exit(f"{name}/config.toml does not read back as the config that ran")
 
 
 def digests(out: Path) -> dict:
