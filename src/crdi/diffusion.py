@@ -42,7 +42,7 @@ class NoiseNet:
 
     backbone: Mlp
     T: int
-    frozen: bool = False
+    frozen: bool = field(init=False, default=False)   # set by freeze()
     time_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -27,8 +27,8 @@ def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
     """Annealed perturbation of one step's (m, d) guidance rows; row j draws
     its noise from ``streams[j]``.
 
-    gamma=1 returns g untouched; gamma=0 replaces it by s*eps entirely;
-    in between the ceiling of sqrt(gamma) keeps g and adds scaled noise.
+    Returns g + s * sqrt(1 - gamma) * eps for gamma in (0, 1): g untouched
+    at gamma >= 1, and s * eps alone, g dropped, at gamma <= 0.
     """
     if g.ndim != 2 or g.shape[0] != len(streams):
         raise ShapeError(f"guidance of shape {g.shape} is not one row per stream of {len(streams)}")

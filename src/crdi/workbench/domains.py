@@ -55,16 +55,24 @@ def _ring(count, stream, *, components, radius, rotation, center_x, center_y, no
     return centers + noise_std * gaussian(stream, (count, 2))
 
 
-def _two_moons(count, stream, *, noise_std, scale):
+# Drawing details that no config varies.
+_MOON_SCALE = 1.5
+_BAR_INTENSITY = 0.9
+
+
+def _two_moons(count, stream, *, noise_std):
     upper = stream.uniform(count) < 0.5
     theta = np.pi * stream.uniform(count)
     x = np.where(upper, np.cos(theta), 1.0 - np.cos(theta))
     y = np.where(upper, np.sin(theta), 0.5 - np.sin(theta))
-    pts = scale * np.stack([x, y], axis=1)
+    pts = _MOON_SCALE * np.stack([x, y], axis=1)
     return pts + noise_std * gaussian(stream, (count, 2))
 
 
-def _sprites(count, stream, *, size, bar, bar_row, bar_intensity):
+def _sprites(count, stream, *, size, bar):
+    # the bar's two rows start 5 rows above the bottom edge (rows 11 and 12 at
+    # size 16), or at the top of a smaller image, so every image has a bar
+    bar_row = max(size - 5, 0)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     out = np.zeros((count, size, size))
     for i in range(count):
@@ -77,7 +85,7 @@ def _sprites(count, stream, *, size, bar, bar_row, bar_intensity):
         dist = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
         img = bright * np.clip(r + 0.5 - dist, 0.0, 1.0)
         if bar:
-            img[bar_row:bar_row + 2, :] = bar_intensity
+            img[bar_row:bar_row + 2, :] = _BAR_INTENSITY
         out[i] = np.clip(img, 0.0, 1.0)
     return out
 
@@ -87,9 +95,8 @@ def _sprites(count, stream, *, size, bar, bar_row, bar_intensity):
 KINDS = {
     "ring-of-gaussians": (_ring, {"components": 8, "radius": 2.0, "rotation": 0.0,
                                   "center_x": 0.0, "center_y": 0.0, "noise_std": 0.1}),
-    "two-moons": (_two_moons, {"noise_std": 0.1, "scale": 1.5}),
-    "sprite-images": (_sprites, {"size": 16, "bar": False, "bar_row": 11,
-                                 "bar_intensity": 0.9}),
+    "two-moons": (_two_moons, {"noise_std": 0.1}),
+    "sprite-images": (_sprites, {"size": 16, "bar": False}),
 }
 _COUNTS = ("components", "size")   # parameters that count modes or pixels: at least 1
 

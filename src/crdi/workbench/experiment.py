@@ -10,7 +10,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ class RunManifest:
     sha256: dict          # artifact key -> hex digest of its bytes after the last stage
     timestamps: dict      # start, finish and each stage's wall time in seconds
     environment: dict     # the build and threads a run's bytes reproduce under
-    version: str = __version__
+    version: str = field(init=False, default=__version__)
 
 
 def _environment() -> dict:
@@ -268,7 +268,8 @@ def sweep(config: ExperimentConfig, param: str, values, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for val, cell_cfg in cells:
-        cell_dir = out_dir / f"{param}={val}"
+        # "%" and "/" in a value are percent-encoded, so the cell lies directly in out_dir
+        cell_dir = out_dir / f"{param}={str(val).replace('%', '%25').replace('/', '%2F')}"
         run_experiment(cell_cfg, cell_dir)
         with open(cell_dir / "report.csv") as f:
             rows.append({param: val, **next(csv.DictReader(f))})

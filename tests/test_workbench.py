@@ -47,20 +47,28 @@ def test_ring_center_and_radius_respected():
 
 
 def test_two_moons_shape():
-    spec = DomainSpec.make("two-moons", seed=3, noise_std=0.05, scale=1.5)
+    spec = DomainSpec.make("two-moons", seed=3, noise_std=0.05)
     pts = synth_domain(spec, 500)
     assert pts.shape == (500, 2)
     assert np.all(np.isfinite(pts))
 
 
 def test_sprite_bar_always_present():
-    spec = DomainSpec.make("sprite-images", seed=4, size=16, bar=True,
-                           bar_row=11, bar_intensity=0.9)
+    spec = DomainSpec.make("sprite-images", seed=4, size=16, bar=True)
     imgs = synth_domain(spec, 20)
     assert imgs.shape == (20, 16, 16)
     assert np.all(imgs >= 0.0) and np.all(imgs <= 1.0)
     for im in imgs:
         np.testing.assert_array_equal(im[11:13, :], np.full((2, 16), 0.9))
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+def test_sprite_bar_drawn_inside_every_size(size):
+    with_bar, without = (synth_domain(DomainSpec.make("sprite-images", seed=4, size=size,
+                                                      bar=bar), 5) for bar in (True, False))
+    row = max(size - 5, 0)
+    np.testing.assert_array_equal(with_bar[:, row:row + 2, :], 0.9)
+    assert not np.array_equal(with_bar, without)
 
 
 def test_sprite_no_bar_varies():
@@ -81,6 +89,12 @@ def test_domain_spec_rejects_parameters_its_kind_does_not_take():
         DomainSpec.make("ring-of-gaussians", radious=5.0)
     with pytest.raises(InvalidArgumentError, match="components"):
         DomainSpec.make("two-moons", components=3)
+    # drawing details are constants of the generators, not parameters
+    with pytest.raises(InvalidArgumentError, match="scale"):
+        DomainSpec.make("two-moons", scale=1.5)
+    for key, val in (("bar_row", 11), ("bar_intensity", 0.9)):
+        with pytest.raises(InvalidArgumentError, match=key):
+            DomainSpec.make("sprite-images", **{key: val})
     with pytest.raises(InvalidArgumentError, match="unknown domain kind"):
         DomainSpec.make("nope")
 
@@ -181,6 +195,20 @@ def test_parse_rejects_invalid_toml(tmp_path, line, bad):
     res = _cli("report", "--config", cfg_path, "--out", out)
     assert res.exit_code == 2, res.output
     assert "malformed config" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["source", "target"])
+@pytest.mark.parametrize("key,val", [("bar_row", "11"), ("bar_intensity", "0.9"),
+                                     ("scale", "1.5")])
+def test_cli_rejects_domain_drawing_constants(tmp_path, section, key, val):
+    _, cfg_path = _config_file(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace(f"[{section}]\n",
+                                                     f"[{section}]\n{key} = {val}\n"))
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert f"unknown key {section}.{key}" in res.output and "Traceback" not in res.output
     assert not out.exists()
 
 
@@ -1267,6 +1295,22 @@ def test_cli_sweep_rejects_unknown_string_value_before_running(tmp_path):
     assert res.exit_code == 2, res.output
     assert "unknown feature 'pixel' for metrics.feature" in res.output
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_cells_lie_directly_under_out(tmp_path):
+    from crdi.workbench.experiment import sweep
+
+    # two checkpoints in subdirectories: each value holds "/"
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / "models" / name).mkdir(parents=True)
+        paths.append(_foreign_checkpoint(tmp_path / "models" / name, 2, 60))
+    out = tmp_path / "sweep"
+    sweep(_fast_config(sge__iterations=5), "train.checkpoint", paths, out)
+    cells = sorted(p for p in out.iterdir() if p.is_dir())
+    assert [p.name for p in cells] == sorted("train.checkpoint=" + p.replace("/", "%2F")
+                                             for p in paths)
+    assert all((p / "report.json").is_file() for p in cells)
 
 
 def test_sweep_validates_every_cell_first(tmp_path):
