@@ -10,7 +10,7 @@ import numpy as np
 from . import binfmt
 from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import (Mlp, RngStream, adam_step, box_muller, box_muller_uniforms,
-                       int_from_uniform, mlp_backward, mlp_forward)
+                       int_from_uniform, mlp_backward, mlp_forward, param_count)
 from .schedules import NoiseSchedule, check_steps
 
 TIME_EMBED_DIM = 32
@@ -212,6 +212,6 @@ def load_checkpoint(path) -> NoiseNet:
     widths = list(r.u32(nwidths, positive=True))
     if widths[0] != widths[-1] + TIME_EMBED_DIM:
         raise FormatError(f"checkpoint input width {widths[0]} at byte 16 != d + {TIME_EMBED_DIM}")
-    params = r.f64((sum(a * b + b for a, b in zip(widths, widths[1:])),))
+    params = r.f64((param_count(widths),))
     r.done()
     return NoiseNet(Mlp(widths, params), T=T).freeze()

@@ -35,8 +35,6 @@ def perturb_guidance(g: np.ndarray, t: int, sched: PerturbationSchedule,
     gm = gamma(sched, t)
     if gm >= 1.0:
         return g
-    if sched.s == 0.0:
-        return np.zeros_like(g) if gm <= 0.0 else g
     eps = _stream_normals(streams, g.shape[1])
     if gm <= 0.0:
         return sched.s * eps

@@ -17,9 +17,10 @@ from ..schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule, Rig
 from ..sge import COUPLINGS, SgeFitConfig, fit_window
 from .domains import KINDS, DomainSpec, sample_shape, typed_like
 
-# A domain section: its kind, then every parameter any kind takes.
-_DOMAIN = {"kind": "ring-of-gaussians",
-           **{key: val for _, params in KINDS.values() for key, val in params.items()}}
+# [source] and [target] hold a kind, then that kind's parameters, filled and checked
+# by DomainSpec.make; the target's defaults apply where its kind takes the key.
+_SIDES = ("source", "target")
+_TARGET = {"radius": 1.8, "rotation": 0.2, "center_x": 0.7, "center_y": 0.5, "bar": True}
 
 # The train and fit keys and defaults are the fields of the stage configs;
 # their field order is the key order config.toml is written in.
@@ -32,9 +33,8 @@ _SCHEMA = {
     "sge": {"eta": 8, "window_lo_frac": 0.0, "window_hi_frac": 1.0, **_FIT},
     "perturb": {"alpha_frac": 1.0, "beta_frac": 0.6, "s": 0.1},
     "train": {**_TRAIN, "hidden": "64,64", "checkpoint": ""},
-    "source": _DOMAIN,
-    "target": {**_DOMAIN, "radius": 1.8, "rotation": 0.2, "center_x": 0.7,
-               "center_y": 0.5, "bar": True},
+    "source": {"kind": "ring-of-gaussians"},
+    "target": {"kind": "ring-of-gaussians"},
     "run": {"k": 10, "count": 64, "seed": 0, "eval_count": 256,
             "ablation": "none", "guidance": "per-sample", "start": "noised"},
     "metrics": {"n": 3, "direction": "per-target", "feature": "identity",
@@ -49,8 +49,6 @@ _CHOICES = {
     "sge.coupling": COUPLINGS,
     "metrics.direction": DIRECTIONS,
     "metrics.feature": FEATURES,
-    "source.kind": tuple(KINDS),
-    "target.kind": tuple(KINDS),
 }
 
 
@@ -78,9 +76,16 @@ def _schema_values(given: dict) -> dict:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, val in keys.items():
-            if key not in _SCHEMA[section]:
+            if key in _SCHEMA[section]:
+                val = _typed(section, key, val)
+            elif section not in _SIDES or key in ("cls", "seed"):   # DomainSpec.make's own
                 raise ConfigError(f"unknown key {section}.{key}")
-            values[section][key] = _typed(section, key, val)
+            values[section][key] = val
+    for side in _SIDES:
+        takes = KINDS.get(values[side]["kind"], (None, {}))[1]
+        shifted = {k: v for k, v in _TARGET.items() if side == "target" and k in takes}
+        spec = _built(side, DomainSpec.make, **{**shifted, **values[side]})
+        values[side] = {"kind": spec.kind, **dict(spec.params)}
     return values
 
 
@@ -99,7 +104,7 @@ def _typed(section: str, key: str, val):
 def _schema_key(param: str):
     """(section, key) of a dotted schema key such as "sge.eta"."""
     section, _, key = param.partition(".")
-    if key not in _SCHEMA.get(section, {}):
+    if key not in _SCHEMA.get(section, {}) and not (section in _SIDES and key):
         raise ConfigError(f"unknown config key {param!r} (expected section.key)")
     return section, key
 
@@ -107,7 +112,7 @@ def _schema_key(param: str):
 def parse_param_value(param: str, raw: str):
     """A command-line value: a TOML value, or the text as given for a string key."""
     section, key = _schema_key(param)
-    if isinstance(_SCHEMA[section][key], str):
+    if isinstance(_SCHEMA[section].get(key), str):
         return raw.strip()
     import tomllib
     try:
@@ -147,10 +152,12 @@ class ExperimentConfig:
         return cls.from_dict(values)
 
     def with_value(self, param: str, val) -> "ExperimentConfig":
-        """A validated copy with the dotted parameter set to val."""
+        """A validated copy with param set to val; a new domain kind keeps the shared keys."""
         section, key = _schema_key(param)
-        return ExperimentConfig.from_dict({**self.values,
-                                           section: {**self.values[section], key: val}})
+        keys = {**self.values[section], key: val}
+        if key == "kind" and isinstance(val, str) and val in KINDS:
+            keys = {k: v for k, v in keys.items() if k == "kind" or k in KINDS[val][1]}
+        return ExperimentConfig.from_dict({**self.values, section: keys})
 
     def validate(self):
         v = self.values
@@ -236,10 +243,8 @@ class ExperimentConfig:
                                 seed=self.values["run"]["seed"])
 
     def domain_spec(self, side: str) -> DomainSpec:
-        sec = self.values[side]
-        params = {key: sec[key] for key in KINDS[sec["kind"]][1]}
         tag = 0 if side == "source" else 1
-        return DomainSpec.make(sec["kind"], seed=self.values["run"]["seed"] * 2 + tag, **params)
+        return DomainSpec.make(seed=self.values["run"]["seed"] * 2 + tag, **self.values[side])
 
     def hidden_widths(self) -> list:
         """train.hidden as layer widths; a blank string is a linear net, and
@@ -272,9 +277,9 @@ class ExperimentConfig:
         binfmt.write_file(path, "\n".join(lines).encode())
 
 
-def _built(what: str, build, *args):
-    """build(*args), with an InvalidArgumentError it raises as a ConfigError."""
+def _built(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with an InvalidArgumentError it raises as a ConfigError."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except InvalidArgumentError as exc:
         raise ConfigError(f"{what}: {exc}") from None

@@ -14,14 +14,14 @@ class DomainSpec:
     """One synthetic data domain: its kind and every parameter of that kind."""
 
     kind: str                      # ring-of-gaussians | two-moons | sprite-images
-    params: tuple = ()             # sorted (key, value) pairs; hashable
+    params: tuple = ()             # (key, value) pairs in KINDS order; hashable
     seed: int = 0
 
     @classmethod
     def make(cls, kind: str, seed: int = 0, **params) -> "DomainSpec":
         """The spec with the kind's defaults for every parameter not given."""
         if kind not in KINDS:
-            raise InvalidArgumentError(f"unknown domain kind {kind!r}")
+            raise InvalidArgumentError(f"unknown domain kind {kind!r}; kinds: {', '.join(KINDS)}")
         defaults = KINDS[kind][1]
         unknown = sorted(set(params) - set(defaults))
         if unknown:
@@ -29,13 +29,13 @@ class DomainSpec:
                                        f"{', '.join(unknown)}; it takes {', '.join(defaults)}")
         for key, val in params.items():
             try:
-                params[key] = typed_like(defaults[key], val)
+                params[key] = val = typed_like(defaults[key], val)
             except TypeError as exc:
                 raise InvalidArgumentError(f"{kind} parameter {key} {exc}") from None
-            if key in _COUNTS and params[key] < 1:
-                raise InvalidArgumentError(f"{kind} parameter {key} must be >= 1, "
-                                           f"got {params[key]}")
-        return cls(kind=kind, params=tuple(sorted({**defaults, **params}.items())), seed=seed)
+            if key in _COUNTS and val < 1 or isinstance(val, float) and not np.isfinite(val):
+                need = ">= 1" if key in _COUNTS else "finite"
+                raise InvalidArgumentError(f"{kind} parameter {key} must be {need}, got {val}")
+        return cls(kind=kind, params=tuple({**defaults, **params}.items()), seed=seed)
 
 
 def typed_like(default, val):
@@ -90,8 +90,8 @@ def _sprites(count, stream, *, size, bar):
     return out
 
 
-# kind -> (generator, its parameters with their defaults). The config's
-# [source] and [target] sections hold the union of these, in this order.
+# kind -> (generator, its parameters with their defaults). A config's
+# [source] or [target] section holds its kind and that kind's parameters, in this order.
 KINDS = {
     "ring-of-gaussians": (_ring, {"components": 8, "radius": 2.0, "rotation": 0.0,
                                   "center_x": 0.0, "center_y": 0.0, "noise_std": 0.1}),

@@ -3,6 +3,7 @@ import ast
 import json
 import os
 import re
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import crdi
 from crdi.errors import ConfigError, FormatError, InvalidArgumentError
 from crdi.workbench.config import ExperimentConfig, parse_config_text
-from crdi.workbench.domains import (DomainSpec, flatten, sample_shape,
+from crdi.workbench.domains import (KINDS, DomainSpec, flatten, sample_shape,
                                     synth_domain)
 from crdi.workbench.tensor_io import read_tensor, write_grid, write_tensor
 
@@ -106,6 +107,18 @@ def test_domain_spec_checks_parameter_types():
         DomainSpec.make("sprite-images", bar=1)
     # an int promotes to float where the default is a float, as in a config
     assert DomainSpec.make("ring-of-gaussians", radius=2) == DomainSpec.make("ring-of-gaussians")
+
+
+FLOAT_PARAMS = [(kind, key) for kind, (_, params) in KINDS.items()
+                for key, val in params.items() if isinstance(val, float)]
+
+
+@pytest.mark.parametrize("val", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,key", FLOAT_PARAMS, ids=[f"{k}.{p}" for k, p in FLOAT_PARAMS])
+def test_domain_spec_rejects_non_finite_floats(kind, key, val):
+    with pytest.raises(InvalidArgumentError, match=f"{kind} parameter {key} must be finite"):
+        DomainSpec.make(kind, **{key: val})
 
 
 @pytest.mark.parametrize("kind", ["ring-of-gaussians", "two-moons", "sprite-images"])
@@ -208,15 +221,66 @@ def test_cli_rejects_domain_drawing_constants(tmp_path, section, key, val):
     out = tmp_path / "out"
     res = _cli("report", "--config", cfg_path, "--out", out)
     assert res.exit_code == 2, res.output
-    assert f"unknown key {section}.{key}" in res.output and "Traceback" not in res.output
+    assert f"{section}: domain kind 'ring-of-gaussians' takes no parameter {key};" \
+        in res.output and "Traceback" not in res.output
     assert not out.exists()
+
+
+# A valid source and target pair of each kind, and a key of another kind.
+PAIRS = {"ring-of-gaussians": (dict(), "size", "8"),
+         "two-moons": (dict(source__kind="two-moons", target__kind="two-moons",
+                            target__noise_std=0.2), "components", "3"),
+         "sprite-images": (dict(source__kind="sprite-images", target__kind="sprite-images"),
+                           "components", "3")}
+
+
+@pytest.mark.parametrize("section", ["source", "target"])
+@pytest.mark.parametrize("kind", PAIRS)
+def test_cli_rejects_another_kinds_key(tmp_path, kind, section):
+    overrides, key, val = PAIRS[kind]
+    _, cfg_path = _config_file(tmp_path, **overrides)
+    cfg_path.write_text(cfg_path.read_text().replace(f"[{section}]\n",
+                                                     f"[{section}]\n{key} = {val}\n"))
+    out = tmp_path / "out"
+    res = _cli("report", "--config", cfg_path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert f"{section}: domain kind {kind!r} takes no parameter {key};" in res.output
+    assert "Traceback" not in res.output and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "cls"])
+def test_domain_section_rejects_domain_spec_make_arguments(key):
+    # DomainSpec.make's own arguments are no domain parameter
+    with pytest.raises(ConfigError, match=f"unknown key source.{key}"):
+        parse_config_text(f"[source]\n{key} = 3\n")
+
+
+@pytest.mark.parametrize("kind", PAIRS)
+def test_written_domain_sections_hold_their_kinds_keys(tmp_path, kind):
+    cfg, path = _config_file(tmp_path, **PAIRS[kind][0])
+    text = path.read_text()
+    for section in ("source", "target"):
+        body = text.split(f"[{section}]\n")[1].split("\n\n")[0]
+        assert [line.split(" = ")[0] for line in body.splitlines()] == \
+            ["kind", *KINDS[kind][1]]
+    assert ExperimentConfig.from_file(path).hash() == cfg.hash()
+
+
+def test_kind_change_keeps_the_shared_parameters():
+    cfg = ExperimentConfig.defaults(target__noise_std=0.3)
+    moons = cfg.with_value("target.kind", "two-moons")
+    assert moons["target"] == {"kind": "two-moons", "noise_std": 0.3}
+    # back to a ring: the shared noise_std stays, the rest are the target's defaults
+    assert moons.with_value("target.kind", "ring-of-gaussians")["target"] == cfg["target"]
 
 
 def test_parse_type_checks():
     with pytest.raises(ConfigError, match="type mismatch"):
         parse_config_text('[schedule]\nT = "many"\n')
-    with pytest.raises(ConfigError, match="type mismatch"):
-        parse_config_text("[target]\nbar = 1\n")
+    with pytest.raises(ConfigError, match="target: sprite-images parameter bar must be "
+                                          "of type bool, got 1"):
+        parse_config_text('[source]\nkind = "sprite-images"\n'
+                          '[target]\nkind = "sprite-images"\nbar = 1\n')
     # int promotes to float where the default is float
     values = parse_config_text("[perturb]\ns = 1\n")
     assert values["perturb"]["s"] == 1.0
@@ -256,11 +320,14 @@ def test_config_fraction_validation():
     (dict(target__components=-3), "target: ring-of-gaussians parameter components must be >= 1"),
     (dict(source__kind="sprite-images", target__kind="sprite-images", source__size=0,
           target__size=0), "source: sprite-images parameter size must be >= 1, got 0"),
+    (dict(target__radius=float("nan")),
+     "target: ring-of-gaussians parameter radius must be finite, got nan"),
 ], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
         "hidden-abc", "hidden-semicolon", "hidden-zero", "hidden-empty-item",
         "hidden-blank-items", "hidden-trailing-comma", "window-order", "sge-lr",
         "train-lr", "sge-iterations", "sge-lam", "lam-nan", "s-inf", "seed-high",
-        "seed-negative", "components-zero", "components-negative", "size-zero"])
+        "seed-negative", "components-zero", "components-negative", "size-zero",
+        "radius-nan"])
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
@@ -347,19 +414,28 @@ def test_config_schedule_and_train_bounds(overrides, message):
     ("metrics.direction", "per-generated", "per-sample"),
     ("metrics.feature", "random-projection", "pixel"),
     ("source.kind", "two-moons", "moons"),
+    ("target.kind", "two-moons", "ring"),
 ])
 def test_config_string_keys_take_known_values_only(param, good, bad):
     key = param.replace(".", "__")
     ExperimentConfig.defaults(**{key: good})
-    with pytest.raises(ConfigError, match=f"unknown .*{bad!r} for {param}"):
+    section, _, name = param.partition(".")
+    message = (f"{section}: unknown domain kind {bad!r}" if name == "kind"
+               else f"unknown .*{bad!r} for {param}")
+    with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**{key: bad})
 
 
-@pytest.mark.parametrize("overrides", [dict(schedule__T=400.0), dict(run__k="3"),
-                                       dict(target__bar=1), dict(sge__lr=None)],
-                         ids=["float-for-int", "str-for-int", "int-for-bool", "none"])
-def test_defaults_type_check_overrides(overrides):
-    with pytest.raises(ConfigError, match="type mismatch"):
+@pytest.mark.parametrize("overrides,message", [
+    (dict(schedule__T=400.0), "type mismatch for schedule.T"),
+    (dict(run__k="3"), "type mismatch for run.k"),
+    # a domain parameter's type is DomainSpec.make's check, named by the section
+    (dict(source__kind="sprite-images", target__kind="sprite-images", target__bar=1),
+     "target: sprite-images parameter bar must be of type bool, got 1"),
+    (dict(sge__lr=None), "type mismatch for sge.lr"),
+], ids=["float-for-int", "str-for-int", "int-for-bool", "none"])
+def test_defaults_type_check_overrides(overrides, message):
+    with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
 
 
@@ -389,6 +465,13 @@ def test_readme_config_block_parses_to_the_defaults():
     assert len(blocks) == 1
     values = parse_config_text(blocks[0])
     assert ExperimentConfig.from_dict(values).values == ExperimentConfig.defaults().values
+    # the table of each kind's parameters and of the target's defaults that differ
+    for kind, (_, params) in KINDS.items():
+        (row,) = re.findall(rf"^\| `{kind}` \| (.*) \| (.*) \|$", readme, re.M)
+        table, target = (tomllib.loads("\n".join(re.findall(r"`([^`]+)`", col))) for col in row)
+        assert table == params
+        assert {"kind": kind, **params, **target} == \
+            parse_config_text(f'[target]\nkind = "{kind}"\n')["target"]
 
 
 def test_source_target_overlap_rejected():
@@ -1173,7 +1256,6 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("sge.eta", "1,2.5", "type mismatch"),
     ("sge.eta", "1,many", "cannot parse"),
     ("sge.lr", "0.05,.5", "cannot parse"),
-    ("target.bar", "true,1", "type mismatch"),
     ("run.k", "2,0", "run.k must be >= 1"),
     ("run.count", "4,0", "run.count must be >= 2"),
     ("run.ablation", "none,bogus", "unknown ablation"),
@@ -1214,10 +1296,15 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     (dict(), "run.seed", "0,9223372036854775808", "run.seed must be in"),
     (dict(), "source.components", "8,0",
      "source: ring-of-gaussians parameter components must be >= 1"),
+    (dict(source__kind="sprite-images", target__kind="sprite-images"), "target.bar", "true,1",
+     "target: sprite-images parameter bar must be of type bool, got 1"),
+    (dict(source__kind="sprite-images", target__kind="sprite-images"), "source.components",
+     "3,5", "source: domain kind 'sprite-images' takes no parameter components;"),
 ], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
         "prior-start-above-window", "window-above-T", "mc-ssim-n-above-count",
         "mc-ssim-n-above-k", "feature-dim-zero", "sample-shape-mismatch", "window-order",
-        "sge-lr", "lam-nan", "seed-high", "components-zero"])
+        "sge-lr", "lam-nan", "seed-high", "components-zero", "bar-not-bool",
+        "other-kind-key"])
 def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
                                                          message):
     _, cfg_path = _config_file(tmp_path, **base)

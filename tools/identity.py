@@ -7,9 +7,11 @@ Exports ``src/`` of the parent revision with ``git archive`` into a temporary
 directory, then runs a fixed set of pipeline configs with the parent's
 ``src/`` and with the working tree's, each under the default BLAS threads and
 under ``OPENBLAS_NUM_THREADS=1``: four child processes, one after another.
-The set is six ``run_experiment`` configs and one ``sge.eta`` sweep:
+The set is eight ``run_experiment`` configs and one ``sge.eta`` sweep:
 
 - ``crit9``: the acceptance battery's criterion-9 config;
+- ``moons``: ``crit9`` with ``two-moons`` on both sides and
+  ``target.noise_std = 0.2``;
 - ``ring``: the pinned ring config (T=400, 2500 train steps, hidden 96,96);
 - ``ring-mean-prior``: ``ring`` with ``run.guidance = "mean"`` and
   ``run.start = "prior"``;
@@ -20,6 +22,8 @@ The set is six ``run_experiment`` configs and one ``sge.eta`` sweep:
   "per-generated"``, ``metrics.feature = "random-projection"`` and
   ``sge.window_lo_frac = 0.2``, so that sampling looks up segments below the
   guidance window (80, 320);
+- ``sprite-12px``: ``sprite`` with ``size = 12`` on both sides: images under
+  16 px, so ``ssim`` takes its global-statistics branch;
 - ``sweep``: ``sge.eta`` over 1, 8 and 25 on a 400-step ring config.
 
 Every file a run writes is compared by its SHA-256 digest, except
@@ -73,12 +77,15 @@ SPRITE = dict(source__kind="sprite-images", target__kind="sprite-images",
               run__eval_count=16)
 RUNS = {
     "crit9": CRIT9,
+    "moons": dict(CRIT9, source__kind="two-moons", target__kind="two-moons",
+                  target__noise_std=0.2),
     "ring": RING,
     "ring-mean-prior": dict(RING, run__guidance="mean", run__start="prior"),
     "ring-no-perturbation": dict(RING, run__ablation="no-perturbation"),
     "sprite": SPRITE,
     "sprite-per-generated": dict(SPRITE, metrics__direction="per-generated",
                                  metrics__feature="random-projection", sge__window_lo_frac=0.2),
+    "sprite-12px": dict(SPRITE, source__size=12, target__size=12),
 }
 SWEEP = ("sweep", dict(RING, train__steps=400, sge__iterations=300), "sge.eta", [1, 8, 25])
 
