@@ -13,5 +13,4 @@ from .diffusion import (NoiseNet, TrainConfig, ddim_step, eps_theta,
 from .sge import (SgeFitConfig, SgeSet, fit_sge, guided_noise, load_sge, residual_terms,
                   save_sge, sge_loss)
 from .sampler import generate, perturb_guidance, reconstruct
-from .metrics import (FeatureExtractor, MetricsReport, frechet, intra_diversity,
-                      mc_ssim, ssim)
+from .metrics import MetricsReport, frechet, intra_diversity, mc_ssim, ssim

@@ -1,49 +1,19 @@
-"""Evaluation battery: SSIM, mode-coverage SSIM, Frechet distance over
-configurable features, and intra-cluster pairwise diversity."""
+"""Evaluation battery: SSIM, mode-coverage SSIM, Frechet distance over the
+flat sample rows, and intra-cluster pairwise diversity."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError, check_choice
-from .numerics import RngStream, gaussian
+from .errors import InvalidArgumentError, ShapeError
 
 # SSIM's stabilising constants (K1 L)^2 and (K2 L)^2 for the dynamic range L = 1
 _C1, _C2 = 0.01 ** 2, 0.03 ** 2
 _WINDOW, _SIGMA = 11, 1.5
 
-FEATURES = ("identity", "random-projection")
-DIRECTIONS = ("per-target", "per-generated")
-
-_NOTE = "feature extractors are desk-scale substitutes; values are internally comparable only"
-
-
-@dataclass(frozen=True)
-class FeatureExtractor:
-    """Deterministic feature map standing in for a perception network.
-
-    kinds: "identity" (the samples as flat rows: points, or images
-    flattened), "random-projection" (seeded Gaussian projection to `dim`).
-    """
-
-    kind: str = "identity"
-    dim: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        check_choice("feature kind", self.kind, FEATURES)
-        if self.dim < 1:
-            raise InvalidArgumentError(f"feature dim must be >= 1, got {self.dim}")
-
-    def __call__(self, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.float64)
-        flat = x.reshape(x.shape[0], -1)
-        if self.kind != "random-projection":
-            return flat
-        proj = gaussian(RngStream(self.seed, "feature-projection"),
-                        (flat.shape[1], self.dim)) / np.sqrt(flat.shape[1])
-        return flat @ proj
+_NOTE = ("features are the flat sample rows, a desk-scale substitute for a perception "
+         "network; values are internally comparable only")
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -94,31 +64,23 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(local.mean())
 
 
-def check_top_n(n: int, direction: str, generated: int, targets: int):
-    """InvalidArgumentError unless n is in [1, pool size], where mc_ssim's pool
-    is the generated set for "per-target" and the targets for "per-generated"."""
-    check_choice("direction", direction, DIRECTIONS)
-    pool = generated if direction == "per-target" else targets
-    if not (1 <= n <= pool):
-        raise InvalidArgumentError(f"n={n} outside [1, {pool}]")
+def check_top_n(n: int, generated: int):
+    """InvalidArgumentError unless n is in [1, generated], mc_ssim's pool size."""
+    if not (1 <= n <= generated):
+        raise InvalidArgumentError(f"n={n} outside [1, {generated}]")
 
 
-def mc_ssim(generated, targets, n: int, direction: str = "per-target") -> float:
-    """Mode-coverage SSIM: mean of the top-n match scores.
-
-    "per-target" averages, for each target, its n best matches among the
-    generated set; "per-generated" swaps the roles.
-    """
+def mc_ssim(generated, targets, n: int) -> float:
+    """Mode-coverage SSIM: for each target, the mean of its n best SSIM
+    matches among the generated set, averaged over the targets."""
     generated = [np.asarray(g, dtype=np.float64) for g in generated]
     targets = [np.asarray(t, dtype=np.float64) for t in targets]
     if not generated or not targets:
         raise InvalidArgumentError("both sets must be non-empty")
-    check_top_n(n, direction, len(generated), len(targets))
-    pool, anchors = (generated, targets) if direction == "per-target" \
-        else (targets, generated)
+    check_top_n(n, len(generated))
     scores = []
-    for y in anchors:
-        vals = sorted((ssim(g, y) for g in pool), reverse=True)
+    for y in targets:
+        vals = sorted((ssim(g, y) for g in generated), reverse=True)
         scores.append(float(np.mean(vals[:n])))
     return float(np.mean(scores))
 
@@ -154,27 +116,27 @@ def frechet(features_a: np.ndarray, features_b: np.ndarray) -> float:
     return max(d, 0.0)
 
 
-def intra_diversity(generated, targets, extractor: FeatureExtractor):
-    """Mean pairwise distance of unit-normalized features inside each
-    target-assigned cluster, averaged over non-empty clusters.
+def intra_diversity(generated, targets):
+    """Mean pairwise distance of the unit-normalized flat sample rows inside
+    each target-assigned cluster, averaged over non-empty clusters.
 
     A sample joins the target of highest SSIM when it is an image, that is
-    when ``generated`` has more than two axes, else the target nearest in
-    feature space. Returns (value, degenerate) where degenerate flags the
-    all-singleton case (value 0).
+    when ``generated`` has more than two axes, else the nearest target.
+    Returns (value, degenerate) where degenerate flags the all-singleton
+    case (value 0).
     """
     generated = np.asarray(generated, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape[0] < 1 or generated.shape[0] < 2:
         raise InvalidArgumentError("need >= 1 target and >= 2 generated samples")
 
-    feats = extractor(generated)
+    feats = generated.reshape(generated.shape[0], -1)
     if generated.ndim > 2:
         assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
                            for g in generated])
     else:
-        feat_t = extractor(targets)
-        dists = np.linalg.norm(feats[:, None, :] - feat_t[None, :, :], axis=-1)
+        flat_t = targets.reshape(targets.shape[0], -1)
+        dists = np.linalg.norm(feats[:, None, :] - flat_t[None, :, :], axis=-1)
         assign = np.argmin(dists, axis=1)
 
     norms = np.linalg.norm(feats, axis=1, keepdims=True)

@@ -11,11 +11,12 @@ from .errors import InvalidArgumentError, ShapeError
 
 
 def check_steps(t, hi: int, x=None, lo: int = 0):
-    """t with every step checked to lie in [lo, hi]. An integer comes back
-    as is; an integer array is one step if 0-d, returned as a NumPy integer,
-    or if 1-D one step per row of the 2-D state x. A wrong dtype or range
-    raises InvalidArgumentError, steps not one per row of x ShapeError."""
-    if isinstance(t, (int, np.integer)):
+    """t with every step checked to lie in [lo, hi]. An integer other than a
+    bool comes back as is; an integer array is one step if 0-d, returned as a
+    NumPy integer, or if 1-D one step per row of the 2-D state x. A wrong
+    dtype (bool included) or range raises InvalidArgumentError, steps not one
+    per row of x ShapeError."""
+    if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
         if not lo <= t <= hi:
             raise InvalidArgumentError(f"timestep {t} outside [{lo}, {hi}]")
         return t

@@ -18,15 +18,12 @@ import numpy as np
 
 from . import binfmt
 from .diffusion import NoiseNet, eps_theta, noise_to, predict_x0
-from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError, check_choice
+from .errors import FormatError, InvalidArgumentError, NumericError, ShapeError
 from .numerics import RngStream, adam_step, box_muller, box_muller_uniforms, int_from_uniform
 from .schedules import NoiseSchedule, RigidityMap, check_steps, segment_for
 
 _SGE_MAGIC = b"CRDS"
 _SGE_VERSION = 1
-
-# "coupled" draws one noise for both forward targets of a draw; "independent" two.
-COUPLINGS = ("coupled", "independent")
 
 # Iterations whose draws fit_sge takes from each sample's stream in one
 # uniform call, and whose noised states one net call predicts. A stream
@@ -100,10 +97,8 @@ class SgeFitConfig:
     lam: float = 1.0
     lr: float = 1e-2
     iterations: int = 2000
-    coupling: str = "coupled"
 
     def __post_init__(self):
-        check_choice("coupling", self.coupling, COUPLINGS)
         if not self.lr > 0:
             raise InvalidArgumentError(f"learning rate lr must be > 0, got {self.lr}")
         if not self.lam >= 0:
@@ -147,17 +142,14 @@ def fit_window(rmap: RigidityMap, schedule: NoiseSchedule) -> tuple:
     return max(rmap.t_lo, 1), rmap.t_hi
 
 
-def _draw_block(streams, block: int, d: int, coupled: bool, t_lo: int, t_hi: int):
+def _draw_block(streams, block: int, d: int, t_lo: int, t_hi: int):
     """The draws of the next ``block`` fit iterations: (block, N) timesteps and
-    (block, N, d) noises eps and eps_prev. Sample i's stream gives, iteration
-    after iteration, t, then eps, then eps_prev unless coupled, in one
-    uniform call."""
-    per_noise = box_muller_uniforms(d)
-    width = 1 + per_noise * (1 if coupled else 2)   # uniforms per iteration
+    (block, N, d) noises eps, which noise both a draw's x_t and its t - 1
+    target. Sample i's stream gives, iteration after iteration, t, then eps,
+    in one uniform call."""
+    width = 1 + box_muller_uniforms(d)   # uniforms per iteration
     u = np.stack([st.uniform(block * width).reshape(block, width) for st in streams], axis=1)
-    eps = box_muller(u[..., 1:1 + per_noise], d)
-    return (int_from_uniform(u[..., 0], t_lo, t_hi), eps,
-            eps if coupled else box_muller(u[..., 1 + per_noise:], d))
+    return int_from_uniform(u[..., 0], t_lo, t_hi), box_muller(u[..., 1:], d)
 
 
 def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
@@ -183,7 +175,6 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
         raise ShapeError(f"target dim {d} != net.d {net.d}")
 
     t_lo, t_hi = fit_window(rmap, schedule)
-    coupled = config.coupling == "coupled"
     segments = np.zeros((n, rmap.eta, d))
     mean = np.zeros((rmap.eta, d))   # penalty target, refreshed after each iteration
     streams = [stream.child(f"sample{i}") for i in range(n)]
@@ -192,12 +183,11 @@ def fit_sge(net: NoiseNet, schedule: NoiseSchedule, targets, rmap: RigidityMap,
     last_loss = [0.0] * n
 
     for start in range(0, config.iterations, _FIT_BLOCK):
-        ts, eps, eps_prev = _draw_block(streams, min(_FIT_BLOCK, config.iterations - start),
-                                        d, coupled, t_lo, t_hi)
+        ts, eps = _draw_block(streams, min(_FIT_BLOCK, config.iterations - start), d, t_lo, t_hi)
         # the block's (block * N, d) rows, row j * N + i for iteration j, sample i
-        steps, x0 = ts.reshape(-1), np.tile(targets, (len(ts), 1))
-        noised = noise_to(schedule, x0, steps, eps.reshape(-1, d))
-        prev = noise_to(schedule, x0, steps - 1, eps_prev.reshape(-1, d))
+        steps, x0, eps = ts.reshape(-1), np.tile(targets, (len(ts), 1)), eps.reshape(-1, d)
+        noised = noise_to(schedule, x0, steps, eps)
+        prev = noise_to(schedule, x0, steps - 1, eps)
         terms = residual_terms(schedule, x0, steps, noised, prev, eps_theta(net, noised, steps))
         u0, up, c0, cp = (r.reshape(*ts.shape, *r.shape[1:]) for r in terms)
         for j in range(len(ts)):

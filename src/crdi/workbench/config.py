@@ -10,11 +10,11 @@ from pathlib import Path
 from .. import binfmt
 from ..diffusion import MAX_T, TrainConfig
 from ..errors import ConfigError, InvalidArgumentError
-from ..metrics import DIRECTIONS, FEATURES, FeatureExtractor, check_top_n
+from ..metrics import check_top_n
 from ..sampler import GUIDANCE, STARTS, start_step
 from ..schedules import (InferencePlan, NoiseSchedule, PerturbationSchedule, RigidityMap,
                          linear_schedule, make_plan)
-from ..sge import COUPLINGS, SgeFitConfig, fit_window
+from ..sge import SgeFitConfig, fit_window
 from .domains import KINDS, DomainSpec, sample_shape, typed_like
 
 # [source] and [target] hold a kind, then that kind's parameters, filled and checked
@@ -37,8 +37,7 @@ _SCHEMA = {
     "target": {"kind": "ring-of-gaussians"},
     "run": {"k": 10, "count": 64, "seed": 0, "eval_count": 256,
             "ablation": "none", "guidance": "per-sample", "start": "noised"},
-    "metrics": {"n": 3, "direction": "per-target", "feature": "identity",
-                "feature_dim": 32},
+    "metrics": {"n": 3},
 }
 
 # Keys whose string value must be one of a fixed set; the code branches on them.
@@ -46,9 +45,6 @@ _CHOICES = {
     "run.ablation": ("none", "no-sge", "no-perturbation"),
     "run.guidance": GUIDANCE,
     "run.start": STARTS,
-    "sge.coupling": COUPLINGS,
-    "metrics.direction": DIRECTIONS,
-    "metrics.feature": FEATURES,
 }
 
 
@@ -207,9 +203,7 @@ class ExperimentConfig:
         for start in [v["run"]["start"]] + ["noised"] * is_images:
             _built(f"run.start = {start!r}", start_step, plan, rmap, start, perturb.alpha_t)
         if is_images:
-            _built("metrics.n", check_top_n, v["metrics"]["n"], v["metrics"]["direction"],
-                   v["run"]["count"], v["run"]["k"])
-        _built("metrics.feature_dim", self.feature_extractor)
+            _built("metrics.n", check_top_n, v["metrics"]["n"], v["run"]["count"])
 
     def schedule(self) -> NoiseSchedule:
         sec = self.values["schedule"]
@@ -236,11 +230,6 @@ class ExperimentConfig:
 
     def fit_config(self) -> SgeFitConfig:
         return SgeFitConfig(**{key: self.values["sge"][key] for key in _FIT})
-
-    def feature_extractor(self) -> FeatureExtractor:
-        m = self.values["metrics"]
-        return FeatureExtractor(kind=m["feature"], dim=m["feature_dim"],
-                                seed=self.values["run"]["seed"])
 
     def domain_spec(self, side: str) -> DomainSpec:
         tag = 0 if side == "source" else 1

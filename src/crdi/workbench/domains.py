@@ -32,9 +32,13 @@ class DomainSpec:
                 params[key] = val = typed_like(defaults[key], val)
             except TypeError as exc:
                 raise InvalidArgumentError(f"{kind} parameter {key} {exc}") from None
-            if key in _COUNTS and val < 1 or isinstance(val, float) and not np.isfinite(val):
-                need = ">= 1" if key in _COUNTS else "finite"
-                raise InvalidArgumentError(f"{kind} parameter {key} must be {need}, got {val}")
+            if key in _COUNTS and not 1 <= val <= _COUNTS[key]:
+                need = ">= 1" if val < 1 else f"<= {_COUNTS[key]}"
+            elif isinstance(val, float) and not np.isfinite(val):
+                need = "finite"
+            else:
+                continue
+            raise InvalidArgumentError(f"{kind} parameter {key} must be {need}, got {val}")
         return cls(kind=kind, params=tuple({**defaults, **params}.items()), seed=seed)
 
 
@@ -98,7 +102,10 @@ KINDS = {
     "two-moons": (_two_moons, {"noise_std": 0.1}),
     "sprite-images": (_sprites, {"size": 16, "bar": False}),
 }
-_COUNTS = ("components", "size")   # parameters that count modes or pixels: at least 1
+# Parameters that count modes or pixels -> their largest value. A mode index is
+# drawn as a float64 product, exact up to 2**53 modes; a size² + 32 network
+# input width must fit the u32 width field of a .crdn checkpoint.
+_COUNTS = {"components": 2**53, "size": 65535}
 
 
 def synth_domain(spec: DomainSpec, count: int, stream: RngStream | None = None) -> np.ndarray:

@@ -226,7 +226,6 @@ def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
     is_images = len(sample_shape(tgt_spec)) == 2
     eval_targets = flatten(synth_domain(tgt_spec, config["run"]["eval_count"],
                                         RngStream(config["run"]["seed"], "eval-targets")))
-    extractor = config.feature_extractor()
     targets = sge_set.targets
     # One row per sample, each in its domain shape (a view of the flat rows).
     gen, tgt = (a.reshape(-1, *sample_shape(tgt_spec)) for a in (samples, targets))
@@ -236,18 +235,15 @@ def evaluate(config: ExperimentConfig, net, sge_set: SgeSet,
     if is_images:
         recon = [reconstruct_target(config, net, sge_set, i) for i in range(len(sge_set))]
         ssim_pairs = [ssim(r.reshape(t.shape), t) for r, t in zip(recon, tgt)]
-        mc = mc_ssim(gen, tgt, n=config["metrics"]["n"],
-                     direction=config["metrics"]["direction"])
+        mc = mc_ssim(gen, tgt, n=config["metrics"]["n"])
 
-    fd = frechet(extractor(samples), extractor(eval_targets))
-    div, degenerate = intra_diversity(gen, tgt, extractor)
+    fd = frechet(samples, eval_targets)
+    div, degenerate = intra_diversity(gen, tgt)
     return MetricsReport(
         ssim_per_pair=[float(v) for v in ssim_pairs],
         mc_ssim=mc, frechet=fd, intra_diversity=div,
         degenerate_clusters=degenerate,
         config={"n": config["metrics"]["n"],
-                "direction": config["metrics"]["direction"],
-                "feature": config["metrics"]["feature"],
                 "cluster_rule": "max-ssim-target" if is_images
                 else "nearest-target-feature"},
         counts={"generated": int(samples.shape[0]),

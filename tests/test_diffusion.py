@@ -191,7 +191,7 @@ PER_ROW = ("noise_to", "eps_theta", "predict_x0", "residual_terms")
 def test_every_timestep_argument_is_checked_alike(sched100, name):
     call = _step_calls(sched100)[name]
     x, xb = np.array([0.3, -0.2]), gaussian(RngStream(6, "xb"), (3, 2))
-    for t in (sched100.T + 1, -1, 2.5, np.float64(3)):
+    for t in (sched100.T + 1, -1, 2.5, np.float64(3), True, np.True_):
         for state in (x, xb):
             with pytest.raises(InvalidArgumentError):
                 call(t, state)

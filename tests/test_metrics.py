@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from crdi.errors import InvalidArgumentError, ShapeError
-from crdi.metrics import (FeatureExtractor, MetricsReport, frechet,
-                          intra_diversity, mc_ssim, ssim)
+from crdi.metrics import MetricsReport, frechet, intra_diversity, mc_ssim, ssim
 from crdi.numerics import RngStream, gaussian
 
 
@@ -144,14 +143,6 @@ def test_mc_ssim_top_all_is_plain_mean():
     assert val == pytest.approx(float(ref), abs=1e-12)
 
 
-def test_mc_ssim_direction_swap():
-    generated = _random_images("g2", 5)
-    targets = _random_images("t2", 2)
-    per_gen = mc_ssim(generated, targets, n=1, direction="per-generated")
-    ref = np.mean([max(ssim(g, y) for y in targets) for g in generated])
-    assert per_gen == pytest.approx(float(ref), abs=1e-12)
-
-
 def test_mc_ssim_permutation_invariant():
     generated = _random_images("g3", 4)
     targets = _random_images("t3", 3)
@@ -166,8 +157,6 @@ def test_mc_ssim_validation():
         mc_ssim([], imgs, n=1)
     with pytest.raises(InvalidArgumentError):
         mc_ssim(imgs, imgs, n=3)
-    with pytest.raises(InvalidArgumentError, match="unknown direction 'per-targte'"):
-        mc_ssim(imgs, imgs, n=1, direction="per-targte")
 
 
 # ---------------------------------------------------------------- frechet
@@ -228,7 +217,7 @@ def test_frechet_degenerate_covariance_handled():
 def test_diversity_identical_samples_degenerate_zero():
     gen = np.ones((4, 2))
     targets = np.array([[1.0, 1.0]])
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"))
+    val, degenerate = intra_diversity(gen, targets)
     assert val == 0.0 and not degenerate  # one cluster of four identical points
 
 
@@ -240,7 +229,7 @@ def test_diversity_hand_case_two_clusters():
     d = np.array([-np.cos(np.pi / 3), np.sin(np.pi / 3)])
     gen = np.stack([a, b, c, d]) * 5.0  # normalization restores unit radius
     targets = np.array([[1.0, 0.2], [-1.0, 0.2]])
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"))
+    val, degenerate = intra_diversity(gen, targets)
     assert val == pytest.approx(1.0, abs=1e-9)
     assert not degenerate
 
@@ -248,7 +237,7 @@ def test_diversity_hand_case_two_clusters():
 def test_diversity_all_singletons_flagged():
     gen = np.array([[1.0, 0.0], [-1.0, 0.0]])
     targets = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"))
+    val, degenerate = intra_diversity(gen, targets)
     assert val == 0.0 and degenerate
 
 
@@ -256,21 +245,21 @@ def test_diversity_image_assignment_uses_ssim():
     base = _random_images("div", 2)
     gen = np.stack([base[0], base[0] + 0.01, base[1], base[1] - 0.01])
     targets = np.stack(base)
-    val, degenerate = intra_diversity(gen, targets, FeatureExtractor("identity"))
+    val, degenerate = intra_diversity(gen, targets)
     assert not degenerate and val > 0.0
 
 
-def _broadcast_diversity(generated, targets, extractor, images=False):
+def _broadcast_diversity(generated, targets, images=False):
     """intra_diversity as it was before it formed distances row by row: one
     (m, m, d) difference array per cluster, its upper triangle averaged."""
     generated = np.asarray(generated, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    feats = extractor(generated)
+    feats = generated.reshape(generated.shape[0], -1)
     if images:
         assign = np.array([int(np.argmax([ssim(g, y) for y in targets]))
                            for g in generated])
     else:
-        feat_t = extractor(targets)
+        feat_t = targets.reshape(targets.shape[0], -1)
         dists = np.linalg.norm(feats[:, None, :] - feat_t[None, :, :], axis=-1)
         assign = np.argmin(dists, axis=1)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
@@ -305,9 +294,8 @@ def _diversity_cases():
 @pytest.mark.parametrize("case", ["one-cluster", "many-clusters", "singletons", "images"])
 def test_diversity_bit_equal_to_broadcast_formula(case):
     gen, targets, images = _diversity_cases()[case]
-    ident = FeatureExtractor("identity")
-    value, degenerate = intra_diversity(gen, targets, ident)
-    ref_value, ref_degenerate = _broadcast_diversity(gen, targets, ident, images=images)
+    value, degenerate = intra_diversity(gen, targets)
+    ref_value, ref_degenerate = _broadcast_diversity(gen, targets, images=images)
     assert (value.hex(), degenerate) == (ref_value.hex(), ref_degenerate)
     assert degenerate == (case == "singletons")
 
@@ -318,7 +306,7 @@ def test_diversity_memory_is_bounded():
     gen = gaussian(RngStream(13, "div-memory"), (200, 256))
     tracemalloc.start()
     try:
-        intra_diversity(gen, gen[:1], FeatureExtractor("identity"))
+        intra_diversity(gen, gen[:1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,23 +315,7 @@ def test_diversity_memory_is_bounded():
 
 def test_diversity_validation():
     with pytest.raises(InvalidArgumentError):
-        intra_diversity(np.zeros((1, 2)), np.zeros((1, 2)),
-                        FeatureExtractor("identity"))
-
-
-# ---------------------------------------------------------------- features
-
-def test_feature_extractors_deterministic():
-    x = gaussian(RngStream(8, "x"), (6, 2))
-    ident = FeatureExtractor("identity")
-    np.testing.assert_array_equal(ident(x), x)
-    proj = FeatureExtractor("random-projection", dim=4, seed=3)
-    np.testing.assert_array_equal(proj(x), proj(x))
-    assert proj(x).shape == (6, 4)
-    imgs = gaussian(RngStream(8, "im"), (3, 5, 5))
-    assert FeatureExtractor("identity")(imgs).shape == (3, 25)
-    with pytest.raises(InvalidArgumentError, match="unknown feature kind 'vgg'"):
-        FeatureExtractor("vgg")
+        intra_diversity(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------- report

@@ -261,11 +261,6 @@ def test_zero_iterations_keeps_initialization(sched):
     assert out.meta == [{"iterations": 0}] * 2
 
 
-def test_fit_config_rejects_unknown_coupling():
-    with pytest.raises(InvalidArgumentError, match="unknown coupling 'coupld'"):
-        SgeFitConfig(coupling="coupld")
-
-
 def test_fit_leaves_net_untouched(tiny_ring):
     schedule, net, _, _ = tiny_ring
     before = net.param_checksum()
@@ -378,22 +373,22 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
     for start in range(0, config.iterations, _FIT_BLOCK):
         block = []
         for _ in range(min(_FIT_BLOCK, config.iterations - start)):
-            ts, eps, eps_prev = [], [], []
+            ts, eps = [], []
             for st in streams:
                 ts.append(st.randint(max(rmap.t_lo, 1), rmap.t_hi))
                 eps.append(gaussian(st, (d,)))
-                eps_prev.append(eps[-1] if config.coupling == "coupled" else gaussian(st, (d,)))
             ts = np.array(ts)
             x_t = sqrt_ab[ts, None] * targets + sqrt_1mab[ts, None] * np.stack(eps)
-            block.append((ts, x_t, eps_prev))
+            block.append((ts, x_t, eps))
         all_ts = np.concatenate([ts for ts, _, _ in block])
         eps_net = mlp_forward(net.backbone, np.concatenate(
             [np.concatenate([x_t for _, x_t, _ in block]), time_features(all_ts, net.T)], axis=-1))
-        for j, (ts, x_t, eps_prev) in enumerate(block):
+        for j, (ts, x_t, eps) in enumerate(block):
             for i, t in enumerate(ts.tolist()):
                 seg = segment_for(rmap, t)
+                # the t - 1 target reuses the draw's noise
                 terms = residual_terms(schedule, targets[i], t, x_t[i],
-                                       noise_to(schedule, targets[i], t - 1, eps_prev[i]),
+                                       noise_to(schedule, targets[i], t - 1, eps[i]),
                                        eps_net[j * n + i])
                 losses[i], grad = sge_loss(*terms, segments[i, seg], mean[seg], config.lam)
                 m, v, t = states.get((i, seg), (np.zeros(d), np.zeros(d), 0))
@@ -403,8 +398,7 @@ def _batched_fit_reference(net, schedule, targets, rmap, config, stream):
     return segments, losses
 
 
-@pytest.mark.parametrize("coupling", ["coupled", "independent"])
-def test_fit_matches_batched_reference(tiny_ring, coupling):
+def test_fit_matches_batched_reference(tiny_ring):
     # fit_sge draws each stream in blocks of iterations; 120 and 45 iterations
     # end on a partial block, and d = 3 drops the last Box-Muller normal
     schedule, net, _, _ = tiny_ring
@@ -414,7 +408,7 @@ def test_fit_matches_batched_reference(tiny_ring, coupling):
     rmap = RigidityMap(eta=4, t_lo=0, t_hi=schedule.T)
     for fit_net, fit_targets, iterations in ((net, targets, 120), (odd_net, odd_targets, 45)):
         assert iterations % _FIT_BLOCK != 0
-        config = SgeFitConfig(lr=0.05, iterations=iterations, lam=0.5, coupling=coupling)
+        config = SgeFitConfig(lr=0.05, iterations=iterations, lam=0.5)
         fitted = fit_sge(fit_net, schedule, fit_targets, rmap, config, RngStream(18, "fit"))
         segments, losses = _batched_fit_reference(fit_net, schedule, fit_targets, rmap, config,
                                                   RngStream(18, "fit"))

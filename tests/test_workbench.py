@@ -172,6 +172,12 @@ def test_parse_rejects_unknown_keys():
         parse_config_text("[schedule]\nTT = 5\n")
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config_text("[nope]\nx = 1\n")
+    # removed keys, which an old config.toml may still set
+    for key, val in (("sge.coupling", '"coupled"'), ("metrics.direction", '"per-target"'),
+                     ("metrics.feature", '"identity"'), ("metrics.feature_dim", "32")):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"unknown key {key}"):
+            parse_config_text(f"[{section}]\n{name} = {val}\n")
     for text in ("T = 5\n", "run = 5\n"):
         with pytest.raises(ConfigError, match="malformed config"):
             parse_config_text(text)
@@ -320,6 +326,13 @@ def test_config_fraction_validation():
     (dict(target__components=-3), "target: ring-of-gaussians parameter components must be >= 1"),
     (dict(source__kind="sprite-images", target__kind="sprite-images", source__size=0,
           target__size=0), "source: sprite-images parameter size must be >= 1, got 0"),
+    # int_from_uniform's float64 product is exact up to 2**53 modes
+    (dict(source__components=99999999999999999999),
+     "source: ring-of-gaussians parameter components must be <= 9007199254740992, "
+     "got 99999999999999999999"),
+    # size² + 32 must fit a checkpoint's u32 width field
+    (dict(source__kind="sprite-images", target__kind="sprite-images", source__size=65536,
+          target__size=65536), "source: sprite-images parameter size must be <= 65535"),
     (dict(target__radius=float("nan")),
      "target: ring-of-gaussians parameter radius must be finite, got nan"),
 ], ids=["count", "eval_count", "batch", "eta", "steps-low", "steps-high",
@@ -327,7 +340,7 @@ def test_config_fraction_validation():
         "hidden-blank-items", "hidden-trailing-comma", "window-order", "sge-lr",
         "train-lr", "sge-iterations", "sge-lam", "lam-nan", "s-inf", "seed-high",
         "seed-negative", "components-zero", "components-negative", "size-zero",
-        "radius-nan"])
+        "components-too-many", "size-too-large", "radius-nan"])
 def test_config_bounds_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.defaults(**overrides)
@@ -358,11 +371,6 @@ LATE_FAILURES = {
     "mc-ssim-n-above-count": (dict(metrics__n=5, run__count=4,
                                    source__kind="sprite-images", target__kind="sprite-images"),
                               "metrics.n: n=5 outside [1, 4]"),
-    "mc-ssim-n-above-k": (dict(metrics__n=4, run__k=3, metrics__direction="per-generated",
-                               source__kind="sprite-images", target__kind="sprite-images"),
-                          "metrics.n: n=4 outside [1, 3]"),
-    "feature-dim-zero": (dict(metrics__feature="random-projection", metrics__feature_dim=0),
-                         "metrics.feature_dim: feature dim must be >= 1, got 0"),
     "sample-shape-mismatch": (dict(target__kind="sprite-images"),
                               "source sample shape (2,) != target sample shape (16, 16)"),
     "sprite-size-mismatch": (dict(source__kind="sprite-images", target__kind="sprite-images",
@@ -382,6 +390,9 @@ def test_config_bounds_accept_edges():
                               schedule__T=60, inference__steps=61)
     ExperimentConfig.defaults(inference__steps=2)
     ExperimentConfig.defaults(sge__lam=0.0, sge__iterations=0, run__seed=2**63 - 1)
+    ExperimentConfig.defaults(source__components=2**53)
+    ExperimentConfig.defaults(source__kind="sprite-images", target__kind="sprite-images",
+                              source__size=65535, target__size=65535)
     # equal window fractions keep a one-step window
     rmap = ExperimentConfig.defaults(sge__window_lo_frac=0.8, sge__window_hi_frac=0.8,
                                      perturb__alpha_frac=0.8).rigidity_map()
@@ -410,9 +421,6 @@ def test_config_schedule_and_train_bounds(overrides, message):
 @pytest.mark.parametrize("param,good,bad", [
     ("run.guidance", "mean", "per_sample"),
     ("run.start", "prior", "noise"),
-    ("sge.coupling", "independent", "coupled "),
-    ("metrics.direction", "per-generated", "per-sample"),
-    ("metrics.feature", "random-projection", "pixel"),
     ("source.kind", "two-moons", "moons"),
     ("target.kind", "two-moons", "ring"),
 ])
@@ -1261,6 +1269,12 @@ def test_cli_reconstruct_starts_at_alpha_t(tmp_path):
     ("run.ablation", "none,bogus", "unknown ablation"),
     ("sge.eta", "2,2", "sweep over sge.eta repeats a cell: [2, 2]"),
     ("sge.lam", "1,1.0", "sweep over sge.lam repeats a cell: [1, 1.0]"),
+    # removed keys
+    ("sge.coupling", "coupled,independent", "unknown config key 'sge.coupling'"),
+    ("metrics.direction", "per-target,per-generated",
+     "unknown config key 'metrics.direction'"),
+    ("metrics.feature", "identity,random-projection", "unknown config key 'metrics.feature'"),
+    ("metrics.feature_dim", "8,32", "unknown config key 'metrics.feature_dim'"),
 ])
 def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, message):
     _, cfg_path = _config_file(tmp_path)
@@ -1283,10 +1297,6 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     (dict(), "sge.window_lo_frac", "0.0,1.0", "guidance window top 61 above T = 60"),
     (dict(run__count=4, source__kind="sprite-images", target__kind="sprite-images"),
      "metrics.n", "2,5", "metrics.n: n=5 outside [1, 4]"),
-    (dict(metrics__direction="per-generated", source__kind="sprite-images",
-          target__kind="sprite-images"), "metrics.n", "2,4", "metrics.n: n=4 outside [1, 3]"),
-    (dict(metrics__feature="random-projection"), "metrics.feature_dim", "8,0",
-     "metrics.feature_dim: feature dim must be >= 1"),
     (dict(), "target.kind", "ring-of-gaussians,sprite-images",
      "source sample shape (2,) != target sample shape (16, 16)"),
     (dict(sge__window_lo_frac=0.8, perturb__alpha_frac=0.8), "sge.window_hi_frac", "1.0,0.2",
@@ -1296,15 +1306,16 @@ def test_cli_sweep_rejects_bad_input_before_running(tmp_path, param, values, mes
     (dict(), "run.seed", "0,9223372036854775808", "run.seed must be in"),
     (dict(), "source.components", "8,0",
      "source: ring-of-gaussians parameter components must be >= 1"),
+    (dict(), "source.components", "8,99999999999999999999",
+     "source: ring-of-gaussians parameter components must be <= 9007199254740992"),
     (dict(source__kind="sprite-images", target__kind="sprite-images"), "target.bar", "true,1",
      "target: sprite-images parameter bar must be of type bool, got 1"),
     (dict(source__kind="sprite-images", target__kind="sprite-images"), "source.components",
      "3,5", "source: domain kind 'sprite-images' takes no parameter components;"),
 ], ids=["beta-rounds-to-alpha", "start-below-first-step", "window-below-start",
         "prior-start-above-window", "window-above-T", "mc-ssim-n-above-count",
-        "mc-ssim-n-above-k", "feature-dim-zero", "sample-shape-mismatch", "window-order",
-        "sge-lr", "lam-nan", "seed-high", "components-zero", "bar-not-bool",
-        "other-kind-key"])
+        "sample-shape-mismatch", "window-order", "sge-lr", "lam-nan", "seed-high",
+        "components-zero", "components-too-many", "bar-not-bool", "other-kind-key"])
 def test_cli_sweep_rejects_late_failures_before_running(tmp_path, base, param, values,
                                                          message):
     _, cfg_path = _config_file(tmp_path, **base)
@@ -1359,17 +1370,17 @@ def test_cli_subnormal_schedule_exits_before_any_stage(tmp_path):
 
 
 def test_cli_rejects_pixels_feature(tmp_path):
-    # "pixels" ran the same code as "identity", the one name left for flat rows
-    with pytest.raises(ConfigError, match="unknown feature 'pixels' for metrics.feature"):
+    # the metrics read the flat sample rows; no key chooses a feature map
+    with pytest.raises(ConfigError, match="unknown config key 'metrics.feature'"):
         ExperimentConfig.defaults(metrics__feature="pixels")
     _, cfg_path = _config_file(tmp_path)
     text = cfg_path.read_text()
-    assert 'feature = "identity"' in text
-    cfg_path.write_text(text.replace('feature = "identity"', 'feature = "pixels"'))
+    assert "feature" not in text
+    cfg_path.write_text(text.replace("[metrics]\n", '[metrics]\nfeature = "pixels"\n'))
     out = tmp_path / "out"
     res = _cli("report", "--config", cfg_path, "--out", out)
     assert res.exit_code == 2, res.output
-    assert "unknown feature 'pixels' for metrics.feature" in res.output
+    assert "unknown key metrics.feature" in res.output
     assert "Traceback" not in res.output
     assert not out.exists()
 
@@ -1378,9 +1389,9 @@ def test_cli_sweep_rejects_unknown_string_value_before_running(tmp_path):
     _, cfg_path = _config_file(tmp_path)
     out = tmp_path / "sweep"
     res = _cli("sweep", "--config", cfg_path, "--out", out,
-               "--param", "metrics.feature", "--values", "identity,pixel")
+               "--param", "run.guidance", "--values", "mean,per_sample")
     assert res.exit_code == 2, res.output
-    assert "unknown feature 'pixel' for metrics.feature" in res.output
+    assert "unknown guidance 'per_sample' for run.guidance" in res.output
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -16,12 +16,9 @@ The set is eight ``run_experiment`` configs and one ``sge.eta`` sweep:
 - ``ring-mean-prior``: ``ring`` with ``run.guidance = "mean"`` and
   ``run.start = "prior"``;
 - ``ring-no-perturbation``: ``ring`` with ``run.ablation = "no-perturbation"``;
-- ``sprite``: 300 train steps of a 128-wide sprite net, then a fit with
-  ``sge.coupling = "independent"``;
-- ``sprite-per-generated``: ``sprite`` with ``metrics.direction =
-  "per-generated"``, ``metrics.feature = "random-projection"`` and
-  ``sge.window_lo_frac = 0.2``, so that sampling looks up segments below the
-  guidance window (80, 320);
+- ``sprite``: 300 train steps of a 128-wide sprite net, then a 200-iteration fit;
+- ``sprite-window-lo``: ``sprite`` with ``sge.window_lo_frac = 0.2``, so that
+  sampling looks up segments below the guidance window (80, 320);
 - ``sprite-12px``: ``sprite`` with ``size = 12`` on both sides: images under
   16 px, so ``ssim`` takes its global-statistics branch;
 - ``sweep``: ``sge.eta`` over 1, 8 and 25 on a 400-step ring config.
@@ -72,9 +69,8 @@ RING = dict(schedule__T=400, train__steps=2500, train__batch=128, train__hidden=
 SPRITE = dict(source__kind="sprite-images", target__kind="sprite-images",
               schedule__T=400, train__steps=300, train__batch=64, train__hidden="128,128",
               train__lr=8e-4, sge__iterations=200, sge__eta=8, sge__lr=0.05,
-              sge__coupling="independent", sge__window_hi_frac=0.8,
-              perturb__alpha_frac=0.8, perturb__beta_frac=0.5, run__k=4, run__count=16,
-              run__eval_count=16)
+              sge__window_hi_frac=0.8, perturb__alpha_frac=0.8, perturb__beta_frac=0.5,
+              run__k=4, run__count=16, run__eval_count=16)
 RUNS = {
     "crit9": CRIT9,
     "moons": dict(CRIT9, source__kind="two-moons", target__kind="two-moons",
@@ -83,8 +79,7 @@ RUNS = {
     "ring-mean-prior": dict(RING, run__guidance="mean", run__start="prior"),
     "ring-no-perturbation": dict(RING, run__ablation="no-perturbation"),
     "sprite": SPRITE,
-    "sprite-per-generated": dict(SPRITE, metrics__direction="per-generated",
-                                 metrics__feature="random-projection", sge__window_lo_frac=0.2),
+    "sprite-window-lo": dict(SPRITE, sge__window_lo_frac=0.2),
     "sprite-12px": dict(SPRITE, source__size=12, target__size=12),
 }
 SWEEP = ("sweep", dict(RING, train__steps=400, sge__iterations=300), "sge.eta", [1, 8, 25])
